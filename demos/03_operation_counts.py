@@ -14,8 +14,9 @@ library computes exactly:
 from semistar import (
     build_tree,
     count_report,
+    count_semistar,
+    count_smstar,
     fstar_poset,
-    height2_counts,
     semistar_poset,
 )
 from semistar.oracle import brute_semistar_count
@@ -35,8 +36,11 @@ y = build_tree(
     [("0", None, 1), ("P", "0", 2), ("M1", "P", 2, 2), ("M2", "P", 1, 1)]
 )
 print("Y-shaped tree:", count_report(y))
-print("  two-level shortcut:", height2_counts(y))
 # star count on a Y: (1 + eps1*omega1)(1 + eps2*omega2) = (1+4)(1+1) = 10
+# Per branch the counts recurse into the quotient Q at the branch prime:
+# fstar = semistar(Q) - 1 + omega(P) and star = smstar(Q), whatever the depth.
+quotient = build_tree([("P", None, 1), ("M1", "P", 2, 2), ("M2", "P", 1, 1)])
+print("  from the quotient:", count_semistar(quotient) - 1 + 2, count_smstar(quotient))
 
 two_branch = build_tree(
     [

@@ -2,9 +2,10 @@
 
 With the tree shape fixed, the number of semistar operations is a
 polynomial in the branch weights; the domain-closing count is a polynomial
-in the weights and the leaf epsilons.  The library recovers them by exact
-rational interpolation over a small grid and re-checks the result off the
-grid, so a wrong degree bound cannot slip through.
+in the weights and the leaf epsilons.  The library computes them by the
+same support sum as the counts, with the chosen branches left symbolic:
+each branch contributes a polynomial in its own weight, so no grid of
+relabelled trees is evaluated.
 """
 
 from semistar import (

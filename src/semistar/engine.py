@@ -1,13 +1,14 @@
 """Ordered sets and counts of closure operations from a labeled spectral tree.
 
-Everything is assembled branch by branch.  For a single branch whose child
-``c`` is a leaf, the fractional-star operations of the branch overring form a
-chain of length ``omega(c)`` whose bottom ``epsilon(c)`` elements close the
-ring.  For an internal ``c`` the branch splits at the prime ``c``: below it
-sits the full semistar poset of the quotient tree (re-rooted at ``c``), above
-it a chain of length ``omega(c)`` coming from the valuation slice; gluing
-removes the quotient's top element (the all-to-field closure, which is never
-ring-closing there) and stacks the chain on what is left.
+Everything is assembled branch by branch.  A branch (a child ``c`` of the
+root) is kept as a record ``(base, flags, omega)``: its fractional-star
+operations are ``base`` with a chain of length ``omega(c)`` stacked above,
+and ``flags`` marks the ring-closing ones.  For a leaf the base is empty and
+the flags are the bottom ``epsilon(c)`` chain elements.  Otherwise the base
+is the semistar poset of the quotient tree (re-rooted at ``c``) minus its
+top, the all-to-field closure, and the flags are the quotient's ring-closing
+operations; their numbers come from counting the quotient, and the base is
+built only when a count needs its order.
 
 The semistar operations of the whole tree are classified by their support, a
 union-closed family of skeleton masks containing the quotient-field mask.
@@ -18,27 +19,31 @@ support inclusion.  An operation closes the domain exactly when its support
 contains the domain and every branch map sends the domain to a ring-closing
 element.
 
-Cardinalities are obtained three ways, which the test suite plays against
-each other: pure counting (``count_*``), explicit element enumeration
-(``semistar_element_counts``), and full poset materialization
-(``semistar_poset``).
+A count is a sum over supports of products of per-branch polynomials in the
+branch weights, since maps of a component ``C`` into base plus an ``n``-chain
+split at the chain: the sum over down-sets ``D`` of ``|hom(D, base)|`` times
+Stanley's order polynomial of ``C - D`` at ``n``.  Evaluated at the labels the
+sum is a count, left symbolic in chosen branches a counting polynomial; the
+weight chain is never built to count.  The tests check the counts against
+element enumeration (``semistar_element_counts``), materialization
+(``semistar_poset``), the brute-force oracle and interpolation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as cartesian
-from math import prod
+from math import comb, prod
 from typing import Mapping, Sequence
 
 from .errors import EnumerationLimitError
-from .polynomials import MultiPoly, interpolate
+from .polynomials import MultiPoly
 from .posets import (
     OrderMap,
     Poset,
     chain,
-    count_hom,
     enum_hom,
+    hom_polynomial,
     ordinal_sum,
     product,
     subposet,
@@ -117,10 +122,6 @@ class SemistarElement:
     support: Support
     maps: tuple[OrderMap | None, ...]
 
-    def image_of(self, branch: int, mask: int) -> int:
-        component = self.support.component(branch)
-        return self.maps[branch].image[component.index(mask)]
-
 
 @dataclass(frozen=True)
 class SemistarPoset:
@@ -143,71 +144,215 @@ class SemistarPoset:
         return self.flagged.poset.size
 
 
-def _single_node(t: SpectrumTree) -> bool:
-    return len(t.nodes) == 1
-
-
-def _branches(t: SpectrumTree, limits: Limits) -> list[SpectrumTree]:
-    ids = standard_decomposition(t)
-    if len(ids) > limits.max_branches:
+def _check_size(size: int, limits: Limits, what: str = "semistar poset"):
+    """The one guard on materialized posets, checked before anything is built."""
+    if size > limits.max_poset:
         raise EnumerationLimitError(
-            f"tree has {len(ids)} branches, limit is {limits.max_branches}"
+            f"{what} would hold {size} elements, limit is {limits.max_poset}"
         )
-    return [branch_subtree(t, c) for c in ids]
 
 
-_FSTAR_CACHE: dict[SpectrumTree, FlaggedPoset] = {}
+class _Branch:
+    """A root-child branch as ``(base, flags, omega)``; built parts fill in on use."""
+
+    def __init__(self, branch: SpectrumTree, limits: Limits):
+        child = standard_decomposition(branch)[0]
+        self.tree, self.child, self.omega = branch, child, branch.omega(child)
+        self.fstar, self.terms = None, {}
+        if branch.is_leaf(child):
+            self.quotient = None
+            self.base, self.base_size = Poset(()), 0
+            self.flag_count = branch.epsilon(child)
+            self.flags = frozenset(range(self.flag_count))
+        else:
+            self.quotient = quotient_subtree(branch, child)
+            self.base = self.flags = None
+            self.base_size = count_semistar(self.quotient, limits) - 1
+            self.flag_count = count_smstar(self.quotient, limits)
+
+
+_BRANCH_CACHE: dict[SpectrumTree, _Branch] = {}
+
+
+def _branches(t: SpectrumTree, limits: Limits) -> list[_Branch]:
+    # every node is checked here, so the limit does not depend on which
+    # branch records are already cached
+    for node in t.nodes:
+        width = len(t.children(node.id))
+        if width > limits.max_branches:
+            raise EnumerationLimitError(
+                f"node {node.id!r} has {width} branches, limit is {limits.max_branches}"
+            )
+    records, ids = [], standard_decomposition(t)
+    for child in ids:
+        branch = t if len(ids) == 1 else branch_subtree(t, child)
+        record = _BRANCH_CACHE.get(branch)
+        if record is None:
+            record = _Branch(branch, limits)
+            if len(_BRANCH_CACHE) < 10_000:
+                _BRANCH_CACHE[branch] = record
+        records.append(record)
+    return records
+
+
+def _single_branch(branch: SpectrumTree, limits: Limits) -> _Branch:
+    if len(standard_decomposition(branch)) != 1:
+        raise ValueError("fractional-star posets are built per branch (one root child)")
+    return _branches(branch, limits)[0]
+
+
+def _base(record: _Branch, limits: Limits) -> tuple[Poset, frozenset[int]]:
+    """The base poset and its flags, built from the quotient on first use."""
+    if record.quotient is not None:
+        _check_size(record.base_size + 1, limits, f"semistar poset of quotient {record.child!r}")
+    if record.base is None:
+        sp = semistar_poset(record.quotient, limits)
+        top = sp.poset.unique_max()
+        assert top is not None and sp.elements[top].support.masks == frozenset({0})
+        assert top not in sp.ring_closing
+        record.base = subposet(sp.poset, (i for i in range(sp.size) if i != top))
+        record.flags = frozenset(i if i < top else i - 1 for i in sp.ring_closing)
+    return record.base, record.flags
 
 
 def fstar_poset(branch: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> FlaggedPoset:
     """Fractional-star operations of a single-branch tree, with star flags.
 
-    For a leaf child this is a chain of length ``omega`` whose bottom
-    ``epsilon`` elements are starred.  Otherwise the semistar poset of the
-    quotient at the child loses its top and a chain of length ``omega`` is
-    stacked above; the star flags are the quotient's ring-closing elements,
-    all of which survive the removal of the top.
+    The branch's base with a chain of length ``omega`` stacked above: a chain
+    with the bottom ``epsilon`` elements starred for a leaf child, else the
+    quotient's semistar poset minus its top, starred where its operations
+    close the ring.  The size is checked on every call, before any building.
     """
-    cached = _FSTAR_CACHE.get(branch)
-    if cached is not None:
-        return cached
-    ids = standard_decomposition(branch)
-    if len(ids) != 1:
-        raise ValueError("fractional-star posets are built per branch (one root child)")
-    child = ids[0]
-    node = branch.node(child)
-    if branch.is_leaf(child):
-        result = FlaggedPoset(chain(node.omega), frozenset(range(branch.epsilon(child))))
-    else:
-        quotient = quotient_subtree(branch, child)
-        sp = semistar_poset(quotient, limits)
-        top = sp.poset.unique_max()
-        assert top is not None and sp.elements[top].support.masks == frozenset({0})
-        assert top not in sp.ring_closing
-        keep = [i for i in range(sp.size) if i != top]
-        base = subposet(sp.poset, keep)
-        flags = frozenset(keep.index(i) for i in sp.ring_closing)
-        result = FlaggedPoset(ordinal_sum(base, chain(node.omega)), flags)
-    if len(_FSTAR_CACHE) < 10_000:
-        _FSTAR_CACHE[branch] = result
-    return result
+    record = _single_branch(branch, limits)
+    what = f"fractional-star poset of branch {record.child!r}"
+    _check_size(record.base_size + record.omega, limits, what)
+    if record.fstar is None:
+        base, flags = _base(record, limits)
+        record.fstar = FlaggedPoset(ordinal_sum(base, chain(record.omega)), flags)
+    return record.fstar
 
 
 def _branch_fstars(t: SpectrumTree, limits: Limits) -> list[FlaggedPoset]:
-    return [fstar_poset(b, limits) for b in _branches(t, limits)]
-
-
-def _support_components(support: Support, branch_count: int):
-    """Per-branch (masks, poset, domain index) for one support."""
-    out = []
-    for i in range(branch_count):
-        masks = support.component(i)
-        poset, d_index = support.component_poset(i)
-        out.append((masks, poset, d_index))
-    return out
+    return [fstar_poset(record.tree, limits) for record in _branches(t, limits)]
 
 
 # -- counting ------------------------------------------------------------------
+
+
+_N = MultiPoly.variable("n")  # the weight of a branch in its map-count polynomials
+
+
+def _shifted(h: MultiPoly) -> MultiPoly:
+    """``h(n - 1)`` for a polynomial ``h`` in ``n``, by the binomial theorem."""
+    c = [h.coefficient({"n": k}) for k in range(h.degree() + 1)]
+    return MultiPoly(("n",), {
+        (j,): sum((-1) ** (k - j) * comb(k, j) * c[k] for k in range(j, len(c)))
+        for j in range(len(c))
+    })
+
+
+def tildhom_count(
+    component: Poset,
+    d_index: int | None,
+    branch: SpectrumTree,
+    limits: Limits = DEFAULT_LIMITS,
+) -> MultiPoly:
+    """Maps of a support component into one branch, as a polynomial in its weight ``n``.
+
+    With no designated domain element this counts every order-preserving
+    map into base plus an ``n``-chain (``n + |base|`` for one point, with
+    no base built).  Otherwise the domain is the minimum of the component
+    and must go to a starred element ``q``; the rest of the component maps
+    into the up-set of ``q``.  For an internal branch the flags lie in the
+    base, so the count sums the maps of the rest into up-set plus chain over
+    the flags.  For a leaf the flags are the bottom ``epsilon`` chain
+    elements, which gives ``h(n) + (epsilon - 1) h(n - 1)`` with ``h`` the
+    order polynomial of the rest.
+    """
+    record = _single_branch(branch, limits)
+    if d_index is None:
+        if component.size == 1:
+            return _N + record.base_size
+        base, _ = _base(record, limits)
+        return hom_polynomial(component, base, max_steps=limits.max_maps)
+    if component.up_mask(d_index) != (1 << component.size) - 1:
+        raise ValueError("the designated domain element must be the component minimum")
+    rest = subposet(component, (i for i in range(component.size) if i != d_index))
+    if record.quotient is None:
+        h = hom_polynomial(rest, record.base)
+        return h if record.flag_count == 1 else h + _shifted(h)
+    if not rest.size:
+        return MultiPoly.constant(record.flag_count)
+    base, flags = _base(record, limits)
+    if rest.size == 1:  # one point maps to an up-set U or the chain: |U| + n
+        return len(flags) * _N + sum(base.up_mask(q).bit_count() for q in flags)
+    total = MultiPoly.zero()
+    for q in sorted(flags):
+        upper = subposet(base, _iter_bits(base.up_mask(q)))
+        total = total + hom_polynomial(rest, upper, max_steps=limits.max_maps)
+    return total
+
+
+def _term(
+    record: _Branch, component: Poset, d_index: int | None, symbolic: bool, limits: Limits
+) -> int | MultiPoly:
+    """One branch's factor for one support: its polynomial, or that at ``omega``."""
+    if component.size > 1 and record.quotient is not None:
+        _base(record, limits)  # checks the limit whether or not the term is cached
+    key = (component, d_index, symbolic)
+    term = record.terms.get(key)
+    if term is None:
+        if symbolic:
+            term = tildhom_count(component, d_index, record.tree, limits)
+        else:
+            poly = _term(record, component, d_index, True, limits)
+            term = int(poly.evaluate({"n": record.omega}))
+        record.terms[key] = term
+    return term
+
+
+def _support_sum(
+    t: SpectrumTree, closing: bool, symbolic: Mapping[str, str], limits: Limits
+) -> int | MultiPoly:
+    """Sum over supports of the product of the branch factors.
+
+    ``closing`` keeps the supports containing the domain and sends it to
+    ring-closing elements.  Branches in ``symbolic`` (root child id to
+    variable name) stay polynomials in their weight, the others take their
+    labels; supports are grouped by their symbolic components, and the
+    coefficient products of the groups add up in one dict.
+    """
+    records = _branches(t, limits)
+    names = [symbolic.get(record.child) for record in records]
+    groups: dict[tuple, int] = {}
+    for support in enumerate_supports(len(records), max_branches=limits.max_branches):
+        if closing and not support.contains_domain():
+            continue
+        key, factor = [], 1
+        for i, record in enumerate(records):
+            component, d_index = support.component_poset(i)
+            if not closing:
+                d_index = None
+            if names[i] is not None:
+                key.append((i, component, d_index))
+            elif component.size:
+                factor *= _term(record, component, d_index, False, limits)
+        key = tuple(key)
+        groups[key] = groups.get(key, 0) + factor
+    if not any(names):
+        return sum(groups.values())
+    total = {}  # exponent tuples hold one entry per symbolic branch, in branch order
+    for key, factor in groups.items():
+        term = {(): factor}
+        for i, component, d_index in key:
+            pieces = [(0, 1)]
+            if component.size:
+                poly = _term(records[i], component, d_index, True, limits)
+                pieces = [(f[0] if f else 0, a) for f, a in poly.terms.items()]
+            term = {e + (k,): c * a for e, c in term.items() for k, a in pieces}
+        for e, c in term.items():
+            total[e] = total.get(e, 0) + c
+    return MultiPoly([names[i] for i, _, _ in key], total)
 
 
 def count_semistar(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
@@ -218,96 +363,22 @@ def count_semistar(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
     branch's fractional-star poset.  The quotient-field-only support
     contributes the single all-to-field operation.
     """
-    if _single_node(t):
-        return 1
-    fstars = _branch_fstars(t, limits)
-    total = 0
-    for support in enumerate_supports(len(fstars), max_branches=limits.max_branches):
-        term = 1
-        for i, fstar in enumerate(fstars):
-            poset, _ = support.component_poset(i)
-            if poset.size:
-                term *= count_hom(poset, fstar.poset, max_steps=limits.max_maps)
-        total += term
-    return total
+    return _support_sum(t, False, {}, limits)
 
 
 def count_fstar(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
-    """Number of fractional-star operations: the product over the branches."""
-    if _single_node(t):
-        return 1
-    return prod(f.size for f in _branch_fstars(t, limits))
-
-
-_TILDHOM_CACHE: dict[tuple[Poset, int | None, FlaggedPoset], int] = {}
-
-
-def tildhom_count(
-    component: Poset,
-    d_index: int | None,
-    fstar: FlaggedPoset,
-    *,
-    max_steps: int | None = None,
-) -> int:
-    """Order-preserving maps into ``fstar`` sending the domain to a starred element.
-
-    With no designated domain element this is a plain map count.  Otherwise
-    the domain is the minimum of the component, so the maps split by the
-    image of the domain: for each starred ``q`` the rest of the component
-    maps anywhere in the up-set of ``q``.
-    """
-    if d_index is None:
-        return count_hom(component, fstar.poset, max_steps=max_steps)
-    full = (1 << component.size) - 1
-    if component.up_mask(d_index) != full:
-        raise ValueError("the designated domain element must be the component minimum")
-    key = (component, d_index, fstar)
-    cached = _TILDHOM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    rest = subposet(component, (i for i in range(component.size) if i != d_index))
-    target = fstar.poset
-    if rest.is_chain():
-        # one sweep computes |hom(chain(k), up-set of x)| for every x at once
-        counts = [1] * target.size
-        for _ in range(rest.size):
-            counts = [
-                sum(counts[y] for y in _iter_bits(target.up_mask(x)))
-                for x in range(target.size)
-            ]
-        total = sum(counts[q] for q in fstar.ring_closing)
-    else:
-        total = 0
-        for q in sorted(fstar.ring_closing):
-            upper = subposet(target, _iter_bits(target.up_mask(q)))
-            total += count_hom(rest, upper, max_steps=max_steps)
-    if len(_TILDHOM_CACHE) < 50_000:
-        _TILDHOM_CACHE[key] = total
-    return total
+    """Number of fractional-star operations: the product of the branch sizes."""
+    return prod(r.base_size + r.omega for r in _branches(t, limits))
 
 
 def count_smstar(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
     """Number of semistar operations that close the domain itself."""
-    if _single_node(t):
-        return 1
-    fstars = _branch_fstars(t, limits)
-    total = 0
-    for support in enumerate_supports(len(fstars), max_branches=limits.max_branches):
-        if not support.contains_domain():
-            continue
-        term = 1
-        for i, fstar in enumerate(fstars):
-            poset, d_index = support.component_poset(i)
-            term *= tildhom_count(poset, d_index, fstar, max_steps=limits.max_maps)
-        total += term
-    return total
+    return _support_sum(t, True, {}, limits)
 
 
 def count_star(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
     """Number of star operations: product of the branch ring-closing counts."""
-    if _single_node(t):
-        return 1
-    return prod(len(f.ring_closing) for f in _branch_fstars(t, limits))
+    return prod(r.flag_count for r in _branches(t, limits))
 
 
 def count_report(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> dict[str, int]:
@@ -329,8 +400,6 @@ def semistar_element_counts(
     ``count_smstar``: every branch map is materialized and the ring-closing
     ones are found by inspection of the domain's image.
     """
-    if _single_node(t):
-        return 1, 1
     fstars = _branch_fstars(t, limits)
     total = 0
     flagged = 0
@@ -369,35 +438,26 @@ def semistar_poset(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> Semistar
     """
     cached = _SEMISTAR_POSET_CACHE.get(t)
     if cached is not None:
-        if cached.size > limits.max_poset:
-            raise EnumerationLimitError(
-                f"semistar poset would hold {cached.size} elements, "
-                f"limit is {limits.max_poset}"
-            )
+        _check_size(cached.size, limits)
         return cached
 
     branch_ids = standard_decomposition(t)
-    if _single_node(t):
+    if len(t.nodes) == 1:
         element = SemistarElement(Support(0, frozenset({0})), ())
         return SemistarPoset(FlaggedPoset(chain(1), frozenset({0})), (element,), branch_ids)
 
+    _check_size(count_semistar(t, limits), limits)
     fstars = _branch_fstars(t, limits)
     m = len(fstars)
     supports = enumerate_supports(m, max_branches=limits.max_branches)
 
-    predicted = count_semistar(t, limits)
-    if predicted > limits.max_poset:
-        raise EnumerationLimitError(
-            f"semistar poset would hold {predicted} elements, limit is {limits.max_poset}"
-        )
-
     elements: list[SemistarElement] = []
     lookups: list[tuple[dict[int, int] | None, ...]] = []
     for support in supports:
-        components = _support_components(support, m)
+        masks = [support.component(i) for i in range(m)]
         map_lists = []
         for i, fstar in enumerate(fstars):
-            masks, poset, _ = components[i]
+            poset, _ = support.component_poset(i)
             if poset.size:
                 map_lists.append(enum_hom(poset, fstar.poset, max_maps=limits.max_maps))
             else:
@@ -406,9 +466,7 @@ def semistar_poset(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> Semistar
             elements.append(SemistarElement(support, tuple(combo)))
             lookups.append(
                 tuple(
-                    None
-                    if m_i is None
-                    else dict(zip(components[i][0], m_i.image))
+                    None if m_i is None else dict(zip(masks[i], m_i.image))
                     for i, m_i in enumerate(combo)
                 )
             )
@@ -470,7 +528,7 @@ def fstar_product(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> FlaggedPo
     posets carry an intrinsic order), so nothing downstream depends on the
     order of this object -- counts use cardinalities only.
     """
-    if _single_node(t):
+    if len(t.nodes) == 1:
         return FlaggedPoset(chain(1), frozenset({0}))
     fstars = _branch_fstars(t, limits)
     acc = fstars[0]
@@ -496,15 +554,6 @@ def _check_symbolic_omega(t: SpectrumTree, node_ids: Sequence[str]):
             )
 
 
-def _omega_grid_start(t: SpectrumTree, node_id: str, epsilon_symbolic: bool) -> int:
-    """Smallest omega value consistent with the leaf's epsilon label."""
-    if not t.is_leaf(node_id):
-        return 1
-    if epsilon_symbolic:
-        return 2
-    return max(1, t.epsilon(node_id))
-
-
 def semistar_polynomial(
     t: SpectrumTree,
     variables: Sequence[str],
@@ -513,25 +562,14 @@ def semistar_polynomial(
     """The semistar count as an exact polynomial in the chosen branch weights.
 
     The variables must be children of the root (named by node id); all other
-    labels stay fixed.  In each variable the degree is at most 2^(m-1) for m
-    branches (the largest support component met by a branch), which fixes
-    the interpolation grid; the result is verified off the grid.
+    labels stay fixed.  This is the support sum of ``count_semistar`` with
+    the chosen branches' factors left as polynomials in their weights, so
+    the polynomial and the counts come from one computation.
     """
     if not variables:
         raise ValueError("need at least one symbolic node")
     _check_symbolic_omega(t, variables)
-    m = len(standard_decomposition(t))
-    bound = 2 ** (m - 1)
-    bounds = {v: bound for v in variables}
-    nodes = {}
-    for v in variables:
-        start = _omega_grid_start(t, v, epsilon_symbolic=False)
-        nodes[v] = list(range(start, start + bound + 1))
-
-    def evaluator(point: Mapping[str, int]) -> int:
-        return count_semistar(t.with_labels(omega=dict(point)), limits)
-
-    return interpolate(evaluator, bounds, nodes=nodes)
+    return _support_sum(t, False, {v: v for v in variables}, limits)
 
 
 def smstar_polynomial(
@@ -542,78 +580,39 @@ def smstar_polynomial(
 ) -> MultiPoly:
     """The domain-closing count as a polynomial in weights and epsilon labels.
 
-    Weight variables must be children of the root and have degree at most
-    2^(m-1) - 1; epsilon variables may sit at any leaf, take values in
-    {1, 2} and have degree 1.  Epsilon variables are named ``eps_<id>``.
-    Off-grid verification moves only the weight variables, since epsilon
-    has no meaning outside {1, 2}.
+    Weight variables must be children of the root; they stay symbolic in the
+    support sum of ``count_smstar``.  Epsilon variables may sit at any leaf
+    and are named ``eps_<id>``.  Since epsilon takes only the values 1 and 2,
+    the count is affine in it: the polynomial is ``(2 - eps) P(1) + (eps - 1)
+    P(2)`` in each epsilon variable, with ``P(e)`` the polynomial of the tree
+    relabelled with that epsilon.
     """
     if not omega_variables and not epsilon_variables:
         raise ValueError("need at least one symbolic node")
     _check_symbolic_omega(t, omega_variables)
-    eps_symbolic = set(epsilon_variables)
-    for node_id in eps_symbolic:
-        if not t.is_leaf(node_id):
-            raise ValueError(f"epsilon is symbolic only at leaves, {node_id!r} is not one")
-    eps_names = {node_id: f"eps_{node_id}" for node_id in sorted(eps_symbolic)}
-    clash = set(eps_names.values()) & (set(omega_variables) | set(eps_symbolic))
+    eps_ids = sorted(set(epsilon_variables))
+    eps_names = {node_id: f"eps_{node_id}" for node_id in eps_ids}
+    clash = set(eps_names.values()) & (set(omega_variables) | set(eps_ids))
     if clash:
         raise ValueError(f"variable name collision: {sorted(clash)}")
-    for node_id in eps_symbolic:
+    for node_id in eps_ids:
+        if not t.is_leaf(node_id):
+            raise ValueError(f"epsilon is symbolic only at leaves, {node_id!r} is not one")
         if node_id not in omega_variables and t.omega(node_id) < 2:
             raise ValueError(
                 f"leaf {node_id!r} needs weight >= 2 for a symbolic epsilon "
                 "(the weight always dominates epsilon)"
             )
 
-    m = len(standard_decomposition(t))
-    bounds: dict[str, int] = {}
-    nodes: dict[str, list[int]] = {}
-    verify_points: dict[str, list[int]] = {}
-    for v in omega_variables:
-        bound = 2 ** (m - 1) - 1
-        start = _omega_grid_start(t, v, epsilon_symbolic=v in eps_symbolic)
-        bounds[v] = bound
-        nodes[v] = list(range(start, start + bound + 1))
-        verify_points[v] = [start + bound + 1, start + bound + 2]
-    for node_id, name in eps_names.items():
-        bounds[name] = 1
-        nodes[name] = [1, 2]
-        verify_points[name] = [1, 2]
-
-    def evaluator(point: Mapping[str, int]) -> int:
-        omega = {v: point[v] for v in omega_variables}
-        epsilon = {node_id: point[name] for node_id, name in eps_names.items()}
-        return count_smstar(t.with_labels(omega=omega, epsilon=epsilon), limits)
-
-    return interpolate(evaluator, bounds, nodes=nodes, verify_points=verify_points)
-
-
-# -- two-level shortcut -----------------------------------------------------------
-
-
-def height2_counts(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> tuple[int, int]:
-    """(fractional-star, star) counts for trees of height at most two.
-
-    Every internal node must hang directly off the root.  Per branch prime P
-    with leaves above it the factors are ``semistar(quotient at P) +
-    omega(P) - 1`` and ``smstar(quotient at P)``; a leaf branch contributes
-    ``omega`` and ``epsilon``.  Must agree with the general
-    ``count_fstar`` / ``count_star`` path.
-    """
-    for n in t.nodes:
-        if n.parent is not None and t.children(n.id) and n.parent != t.root_id:
-            raise ValueError(
-                f"height-2 shortcut needs all internal nodes at depth 1, {n.id!r} is deeper"
-            )
-    fstar_total = 1
-    star_total = 1
-    for child in standard_decomposition(t):
-        if t.is_leaf(child):
-            fstar_total *= t.omega(child)
-            star_total *= t.epsilon(child)
-        else:
-            quotient = quotient_subtree(t, child)
-            fstar_total *= count_semistar(quotient, limits) + t.omega(child) - 1
-            star_total *= count_smstar(quotient, limits)
-    return fstar_total, star_total
+    symbolic = {v: v for v in omega_variables}
+    # a symbolic weight's label is never read, so it may rise to admit epsilon 2
+    omega = {v: 2 for v in eps_ids if v in symbolic and t.omega(v) < 2}
+    total = MultiPoly.zero()
+    for values in cartesian((1, 2), repeat=len(eps_ids)):
+        weight = MultiPoly.constant(1)
+        for node_id, value in zip(eps_ids, values):
+            eps = MultiPoly.variable(eps_names[node_id])
+            weight = weight * (2 - eps if value == 1 else eps - 1)
+        relabelled = t.with_labels(omega=omega, epsilon=dict(zip(eps_ids, values)))
+        total = total + weight * _support_sum(relabelled, True, symbolic, limits)
+    return total

@@ -19,6 +19,8 @@ Counting of maps P -> Q works in three regimes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import factorial
 from typing import Iterable, Sequence
 
 from .errors import EnumerationLimitError
@@ -46,7 +48,7 @@ class Poset:
     transitivity and rejects anything that is not a partial order.
     """
 
-    __slots__ = ("size", "_up", "_down")
+    __slots__ = ("size", "_up", "_down", "_hash")
 
     def __init__(self, up_masks: Sequence[int]):
         up = tuple(up_masks)
@@ -76,6 +78,7 @@ class Poset:
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "_up", up)
         object.__setattr__(self, "_down", tuple(down))
+        object.__setattr__(self, "_hash", hash(up))
 
     @classmethod
     def _unchecked(cls, up_masks) -> "Poset":
@@ -167,16 +170,13 @@ class Poset:
             out.extend((i, j) for j in _iter_bits(strict & ~between))
         return sorted(out)
 
-    def relation_pairs(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.size) for j in _iter_bits(self._up[i])]
-
     # -- value semantics -------------------------------------------------------
 
     def __eq__(self, other):
         return isinstance(other, Poset) and self._up == other._up
 
     def __hash__(self):
-        return hash(self._up)
+        return self._hash
 
     def __len__(self):
         return self.size
@@ -439,15 +439,13 @@ def _chain_poly(p: Poset) -> MultiPoly:
     elif p.is_chain():
         poly = binomial_order_poly(p.size)
     else:
-        from .polynomials import interpolate
-
+        # Newton's forward differences at 0 against the basis C(n, j)
         values = _chain_count_values(p, p.size)
-        poly = interpolate(
-            lambda pt: values[pt["n"]],
-            {"n": p.size},
-            nodes={"n": list(range(p.size + 1))},
-            verify=False,
-        )
+        poly, falling, n = MultiPoly.zero(), MultiPoly.constant(1), MultiPoly.variable("n")
+        for j in range(p.size + 1):
+            poly = poly + Fraction(values[0], factorial(j)) * falling
+            values = [b - a for a, b in zip(values, values[1:])]
+            falling = falling * (n - j)
     _CHAIN_POLY_CACHE[p] = poly
     return poly
 
@@ -547,7 +545,9 @@ def count_hom(p: Poset, q: Poset, *, max_steps: int | None = None) -> int:
     return result
 
 
-def hom_polynomial(p: Poset, q: Poset, *, max_size: int = DEFAULT_MAX_SIZE) -> MultiPoly:
+def hom_polynomial(
+    p: Poset, q: Poset, *, max_size: int = DEFAULT_MAX_SIZE, max_steps: int | None = None
+) -> MultiPoly:
     """The polynomial H(n) = |hom(p, q ⊕ chain(n))|, exact in ``n``.
 
     Splitting each map at the chain gives
@@ -558,10 +558,12 @@ def hom_polynomial(p: Poset, q: Poset, *, max_size: int = DEFAULT_MAX_SIZE) -> M
         raise EnumerationLimitError(
             f"hom polynomial limited to {max_size} source elements, poset has {p.size}"
         )
+    if not q.size:  # every map lands in the chain
+        return _chain_poly(p)
     full = (1 << p.size) - 1
     result = MultiPoly.zero()
     for mask in _down_set_masks(p):
-        lower = count_hom(_sub_from_mask(p, mask), q)
+        lower = count_hom(_sub_from_mask(p, mask), q, max_steps=max_steps)
         if lower:
             result = result + lower * _chain_poly(_sub_from_mask(p, full & ~mask))
     return result

@@ -24,7 +24,6 @@ from semistar import (
     enumerate_supports,
     fstar_poset,
     fstar_product,
-    height2_counts,
     hom_polynomial,
     interpolate,
     ordinal_sum,
@@ -144,9 +143,21 @@ def test_criterion_06_y_shape_star_counts():
                         t = y_tree(p, (w1, e1), (w2, e2))
                         star = count_star(t)
                         assert star == (1 + e1 * w1) * (1 + e2 * w2)
-                        assert height2_counts(t) == (count_fstar(t), star)
+                        # fstar = semistar(quotient) - 1 + p, the quotient a two-leaf tree
+                        fstar = count_fstar(t)
+                        assert fstar == _two_leaf_semistar(w1, w2) - 1 + p
+                        fp = fstar_product(t)
+                        assert (fp.size, len(fp.ring_closing)) == (fstar, star)
                         checked += 1
     _pass(6, f"Y-shape star count equals (1+e1*w1)(1+e2*w2) on {checked} labelings")
+
+
+def _two_leaf_semistar(a, b):
+    value = Fraction(
+        4 + 4 * a + 4 * b + 9 * a * b + 3 * (a * a * b + a * b * b) + a * a * b * b, 4
+    )
+    assert value.denominator == 1
+    return value.numerator
 
 
 def _oracle_lattice():

@@ -221,3 +221,35 @@ def test_max_maps_env(fex_path):
 def test_missing_file_exit_3(capsys):
     code, _, err = run(capsys, "count", "/nonexistent/tree.json")
     assert code == 3
+
+
+def _write(tmp_path, name, nodes):
+    path = tmp_path / name
+    path.write_text(json.dumps({"nodes": nodes}))
+    return str(path)
+
+
+def test_fstar_export_of_a_long_leaf_exceeds_max_poset(tmp_path, capsys):
+    path = _write(
+        tmp_path, "leaf.json",
+        [
+            {"id": "0", "parent": None, "omega": 1},
+            {"id": "M0", "parent": "0", "omega": 2500, "epsilon": 1},
+        ],
+    )
+    code, out, err = run(capsys, "hasse", path, "--target", "fstar:M0")
+    assert code == 2 and "bound exceeded" in err and out == ""
+    code, out, _ = run(capsys, "count", path, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"semistar": 2501, "fstar": 2500, "smstar": 1, "star": 1}
+
+
+def test_count_over_a_big_quotient(tmp_path, capsys):
+    path = _write(
+        tmp_path, "fault.json",
+        [{"id": "0", "parent": None, "omega": 1}, {"id": "P", "parent": "0", "omega": 2}]
+        + [{"id": f"M{i}", "parent": "P", "omega": 3, "epsilon": 1} for i in (1, 2, 3)],
+    )
+    code, out, _ = run(capsys, "count", path, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"semistar": 58612, "fstar": 58611, "smstar": 15606, "star": 15606}

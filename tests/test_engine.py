@@ -21,7 +21,6 @@ from semistar import (
     count_star,
     fstar_poset,
     fstar_product,
-    height2_counts,
     semistar_element_counts,
     semistar_polynomial,
     semistar_poset,
@@ -227,24 +226,47 @@ def test_single_branch_identities():
 def test_tildhom_examples():
     for n in range(1, 6):
         for e in (1, 2):
-            f = FlaggedPoset(chain(n), frozenset(range(min(e, n))))
+            if e > n:
+                continue
+            leaf = valuation(n, e)  # chain(n) with the bottom e elements starred
             two = Support(2, frozenset({0, 0b11, 0b01}))
             comp, d = two.component_poset(0)
             # 2-chain component with the domain at the bottom
-            if e <= n:
-                assert tildhom_count(comp, d, f) == e * n - e + 1
+            poly = tildhom_count(comp, d, leaf)
+            assert poly.evaluate({"n": n}) == e * n - e + 1
             one = Support(2, frozenset({0, 0b11}))
             comp1, d1 = one.component_poset(0)
-            if e <= n:
-                assert tildhom_count(comp1, d1, f) == e
+            assert tildhom_count(comp1, d1, leaf) == MultiPoly.constant(e)
 
 
 def test_tildhom_fully_flagged_is_plain_count():
-    f = FlaggedPoset(chain(4), frozenset(range(4)))
+    # valuation(2, 2) is chain(2) with both elements starred
+    leaf = valuation(2, 2)
+    f = fstar_poset(leaf)
     two = Support(2, frozenset({0, 0b11, 0b01}))
     comp, d = two.component_poset(0)
-    assert tildhom_count(comp, d, f) == count_hom(comp, f.poset)
-    assert tildhom_count(comp, None, f) == count_hom(comp, f.poset)
+    assert tildhom_count(comp, d, leaf).evaluate({"n": 2}) == count_hom(comp, f.poset)
+    assert tildhom_count(comp, None, leaf).evaluate({"n": 2}) == count_hom(comp, f.poset)
+
+
+def test_tildhom_matches_map_enumeration():
+    # internal branches: the flagged split against the materialized branch poset
+    from semistar import enum_hom, enumerate_supports
+
+    for t in (final_example(2, 1), y_tree(1, (2, 2), (1, 1)), h_local([3, 2], [2, 1])):
+        for child in t.children(t.root_id):
+            branch = branch_subtree(t, child)
+            f = fstar_poset(branch)
+            for support in enumerate_supports(3):
+                comp, d = support.component_poset(0)
+                if not comp.size:
+                    continue
+                maps = enum_hom(comp, f.poset)
+                omega = {"n": t.omega(child)}
+                assert tildhom_count(comp, None, branch).evaluate(omega) == len(maps)
+                if d is not None:
+                    starred = sum(1 for m in maps if m.image[d] in f.ring_closing)
+                    assert tildhom_count(comp, d, branch).evaluate(omega) == starred
 
 
 def test_fstar_product_cardinalities():
@@ -254,7 +276,7 @@ def test_fstar_product_cardinalities():
         assert len(fp.ring_closing) == count_star(t)
 
 
-# -- shortcut for two-level trees ----------------------------------------------------
+# -- two-level trees: branch records against materialized branch posets ------------
 
 
 def test_height2_y_shape():
@@ -262,15 +284,17 @@ def test_height2_y_shape():
         for w1, e1 in [(1, 1), (2, 2), (3, 1)]:
             for w2, e2 in [(1, 1), (4, 2)]:
                 t = y_tree(p, (w1, e1), (w2, e2))
-                fs, st_ = height2_counts(t)
-                assert st_ == (1 + e1 * w1) * (1 + e2 * w2)
-                assert fs == count_fstar(t)
-                assert st_ == count_star(t)
+                fp = fstar_product(t)
+                st_ = count_star(t)
+                assert st_ == (1 + e1 * w1) * (1 + e2 * w2) == len(fp.ring_closing)
+                assert count_fstar(t) == fp.size
 
 
 def test_height2_degenerate_h_local():
     t = h_local([2, 3, 4], [1, 2, 1])
-    assert height2_counts(t) == (2 * 3 * 4, 1 * 2 * 1)
+    fp = fstar_product(t)
+    assert (count_fstar(t), count_star(t)) == (2 * 3 * 4, 1 * 2 * 1)
+    assert (fp.size, len(fp.ring_closing)) == (2 * 3 * 4, 1 * 2 * 1)
 
 
 def test_y_star_count_from_raw_idempotency_data():
@@ -293,12 +317,14 @@ def test_height2_fstar_equals_leaf_polynomial_plus_chain():
         for w1, e1, w2, e2 in [(1, 1, 1, 1), (2, 2, 3, 1), (4, 1, 2, 2)]:
             t = y_tree(p, (w1, e1), (w2, e2))
             expected = pi2.evaluate({"M1": w1, "M2": w2}) + p - 1
-            assert height2_counts(t)[0] == expected == count_fstar(t)
+            assert fstar_product(t).size == expected == count_fstar(t)
 
 
-def test_height2_mixed_and_rejects_deep():
+def test_height2_mixed_and_deep_trees_count():
     t = final_example(2, 3)
-    assert height2_counts(t) == (count_fstar(t), count_star(t))
+    fp = fstar_product(t)
+    assert (count_fstar(t), count_star(t)) == (fp.size, len(fp.ring_closing))
+    # deeper trees take the same recursion
     deep = build_tree(
         [
             ("0", None, 1),
@@ -309,8 +335,9 @@ def test_height2_mixed_and_rejects_deep():
             ("M3", "P", 1, 1),
         ]
     )
-    with pytest.raises(ValueError):
-        height2_counts(deep)
+    fp = fstar_product(deep)
+    assert (count_fstar(deep), count_star(deep)) == (fp.size, len(fp.ring_closing))
+    assert count_fstar(deep) == count_semistar(deep) - 1
 
 
 # -- symbolic recovery ----------------------------------------------------------------
@@ -557,3 +584,123 @@ def test_branch_limit_enforced():
     with pytest.raises(EnumerationLimitError):
         count_semistar(t)
     assert count_fstar(t, Limits(max_branches=5)) == 1
+
+
+# -- limits and large labels ------------------------------------------------------------
+
+
+def _two_branch_small():
+    """P(M1, M2; omega=2) plus N(omega=2): fstar = (13 + 2) * 2 = 30."""
+    return build_tree(
+        [
+            ("0", None, 1),
+            ("P", "0", 2),
+            ("M1", "P", 1, 1),
+            ("M2", "P", 2, 1),
+            ("N", "0", 2, 1),
+        ]
+    )
+
+
+def test_fstar_poset_size_checked_on_every_call():
+    branch = branch_subtree(_two_branch_small(), "P")
+    assert fstar_poset(branch).size == 15
+    with pytest.raises(EnumerationLimitError):
+        fstar_poset(branch, Limits(max_poset=10))
+    with pytest.raises(EnumerationLimitError):
+        fstar_poset(valuation(2500, 1))
+
+
+def test_count_fstar_needs_no_poset_cold_and_warm():
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "import sys; sys.path.insert(0, 'tests')\n"
+        "from test_engine import _two_branch_small\n"
+        "from semistar import Limits, count_fstar\n"
+        "print(count_fstar(_two_branch_small(), Limits(max_poset=10)))\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    cold = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True
+    )
+    assert cold.returncode == 0, cold.stderr
+    assert cold.stdout.strip() == "30"
+    t = _two_branch_small()
+    assert count_fstar(t) == 30
+    assert count_fstar(t, Limits(max_poset=10)) == 30
+
+
+def test_single_branch_over_a_big_quotient_counts():
+    # P(omega=2) over three leaves of omega 3: the quotient has 58 610
+    # semistar operations, far past max_poset, and none is built
+    t = build_tree(
+        [("0", None, 1), ("P", "0", 2)] + [(f"M{i}", "P", 3, 1) for i in (1, 2, 3)]
+    )
+    assert count_report(t) == {
+        "semistar": 58612, "fstar": 58611, "smstar": 15606, "star": 15606,
+    }
+
+
+def test_large_leaf_weight_is_exact_and_fast():
+    import time
+
+    omega = 10**6
+    start = time.perf_counter()
+    report = count_report(valuation(omega, 2))
+    elapsed = time.perf_counter() - start
+    assert report == {"semistar": omega + 1, "fstar": omega, "smstar": 2, "star": 2}
+    assert elapsed < 0.5
+
+
+# -- polynomials against interpolated element enumeration -------------------------------
+
+
+def _interpolated(t, omega_vars, eps_vars, semistar):
+    """The counting polynomial recovered from element enumeration on a grid.
+
+    The grid per weight variable starts at the smallest admissible weight
+    and holds 2^(m-1) + 1 points for semistar, 2^(m-1) for the domain-closing
+    count; epsilon variables take 1 and 2.
+    """
+    from semistar import interpolate
+
+    m = len(t.children(t.root_id))
+    bound = 2 ** (m - 1) if semistar else 2 ** (m - 1) - 1
+    bounds, nodes = {}, {}
+    for v in omega_vars:
+        start = 1
+        if t.is_leaf(v):
+            start = 2 if v in eps_vars else t.epsilon(v)
+        bounds[v], nodes[v] = bound, list(range(start, start + bound + 1))
+    for v in eps_vars:
+        bounds[f"eps_{v}"], nodes[f"eps_{v}"] = 1, [1, 2]
+
+    def evaluator(point):
+        omega = {v: point[v] for v in omega_vars}
+        epsilon = {v: point[f"eps_{v}"] for v in eps_vars}
+        counts = semistar_element_counts(t.with_labels(omega=omega, epsilon=epsilon))
+        return counts[0] if semistar else counts[1]
+
+    return interpolate(evaluator, bounds, nodes=nodes, verify=False)
+
+
+def test_polynomials_match_interpolated_element_counts():
+    cases = [
+        (h_local([2]), ["M1"], ["M1"]),
+        (h_local([2, 2]), ["M1", "M2"], ["M1", "M2"]),
+        (h_local([2, 1, 1]), ["M1"], ["M1"]),
+        (y_tree(2, (2, 1), (1, 1)), ["P"], ["M1"]),
+        (final_example(1, 1, leaf_omegas=(2, 1)), ["P", "N"], ["M1"]),
+    ]
+    for t, omega_vars, eps_vars in cases:
+        assert semistar_polynomial(t, omega_vars) == _interpolated(t, omega_vars, [], True)
+        assert smstar_polynomial(t, omega_vars, eps_vars) == _interpolated(
+            t, omega_vars, eps_vars, False
+        )
