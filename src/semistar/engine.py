@@ -91,9 +91,9 @@ class FlaggedPoset:
         for i in self.ring_closing:
             if not 0 <= i < self.poset.size:
                 raise ValueError(f"flag {i} out of range")
-            for j in _iter_bits(self.poset.down_mask(i)):
-                if j not in self.ring_closing:
-                    raise ValueError("ring-closing elements must form a down-set")
+        marked = sum(1 << i for i in self.ring_closing)
+        if any(self.poset.down_mask(i) & ~marked for i in self.ring_closing):
+            raise ValueError("ring-closing elements must form a down-set")
 
     @property
     def size(self) -> int:
@@ -425,6 +425,81 @@ def semistar_element_counts(
 # -- the full ordered set ---------------------------------------------------------
 
 
+class _Block:
+    """The operations of one support, from index ``offset`` on in the ordered set.
+
+    They are the cartesian product of the branch map lists, each sorted by
+    image (``[None]`` for a branch the support misses), so an element's index
+    in the block is mixed-radix in its map indices, branch 0 the most
+    significant digit.
+    """
+
+    def __init__(self, support: Support, fstars: list[FlaggedPoset], offset: int, limits: Limits):
+        self.support, self.fstars, self.offset = support, fstars, offset
+        self.comps, self.lists = [], []
+        for i, fstar in enumerate(fstars):
+            poset, _ = support.component_poset(i)
+            maps = [None]
+            if poset.size:
+                maps = enum_hom(poset, fstar.poset, max_maps=limits.max_maps)
+                maps.sort(key=lambda g: g.image)
+            self.comps.append({mask: k for k, mask in enumerate(support.component(i))})
+            self.lists.append(maps)
+        sizes = [len(maps) for maps in self.lists]
+        self.size = prod(sizes)
+        self.strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
+        # multiplying by repeats[i] copies a run of strides[i] * sizes[i] bits over the block
+        full = (1 << self.size) - 1
+        self.repeats = [full // ((1 << s * n) - 1) for s, n in zip(self.strides, sizes)]
+        self._columns = {}
+
+    def columns(self, i: int, mask: int, down: bool) -> list[int]:
+        """Per element ``q`` of branch ``i``, the maps whose image of ``mask`` is above ``q``.
+
+        With ``down``, below ``q``; each column takes in those of the covers of ``q``.
+        """
+        key = (i, mask, down)
+        cols = self._columns.get(key)
+        if cols is None:
+            fp, k = self.fstars[i].poset, self.comps[i][mask]
+            cols = [0] * fp.size
+            for j, g in enumerate(self.lists[i]):
+                cols[g.image[k]] |= 1 << j
+            # q takes in the column of its cover c once that one is complete
+            edges = [(hi, lo) if down else (lo, hi) for lo, hi in fp.covers()]
+            rank = fp.down_mask if down else fp.up_mask
+            for q, c in sorted(edges, key=lambda e: rank(e[0]).bit_count()):
+                cols[q] |= cols[c]
+            self._columns[key] = cols
+        return cols
+
+    def rows(self, other: "_Block", down: bool) -> list[int]:
+        """For each element of ``other`` (larger support), the elements of this block above it.
+
+        With ``down`` the supports swap and the rows hold the elements below.
+        Either set is a product over the branches of the maps above (below)
+        the given map on the component of the smaller support.
+        """
+        small = other if down else self
+        rows = [(1 << self.size) - 1]
+        for i, maps in enumerate(other.lists):
+            if not small.comps[i]:
+                rows = [r for r in rows for _ in maps]
+                continue
+            cols = [(self.columns(i, m, down), other.comps[i][m]) for m in small.comps[i]]
+            stride, repeat, sets = self.strides[i], self.repeats[i], []
+            for g in maps:
+                digits = -1
+                for col, k in cols:
+                    digits &= col[g.image[k]]
+                if stride > 1:  # widen each digit to the run of elements sharing it
+                    bits = bin(digits)[2:]
+                    digits = int(bits.replace("0", "0" * stride).replace("1", "1" * stride), 2)
+                sets.append(digits * repeat)
+            rows = [r & s for r in rows for s in sets]
+        return rows
+
+
 _SEMISTAR_POSET_CACHE: dict[SpectrumTree, "SemistarPoset"] = {}
 
 
@@ -434,7 +509,10 @@ def semistar_poset(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> Semistar
     Elements are sorted by (support, map images).  The identity is the
     minimum, the all-to-field operation the maximum; comparisons hold
     exactly when the supports are reverse-included and every shared branch
-    map is pointwise below.
+    map is pointwise below.  The elements of one support are a product of
+    branch map lists, and so is each element's up-set inside a smaller
+    support, so the order is built one block of elements at a time from
+    per-branch bitmasks, with no pairwise comparison.
     """
     cached = _SEMISTAR_POSET_CACHE.get(t)
     if cached is not None:
@@ -448,73 +526,33 @@ def semistar_poset(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> Semistar
 
     _check_size(count_semistar(t, limits), limits)
     fstars = _branch_fstars(t, limits)
-    m = len(fstars)
-    supports = enumerate_supports(m, max_branches=limits.max_branches)
-
-    elements: list[SemistarElement] = []
-    lookups: list[tuple[dict[int, int] | None, ...]] = []
-    for support in supports:
-        masks = [support.component(i) for i in range(m)]
-        map_lists = []
-        for i, fstar in enumerate(fstars):
-            poset, _ = support.component_poset(i)
-            if poset.size:
-                map_lists.append(enum_hom(poset, fstar.poset, max_maps=limits.max_maps))
-            else:
-                map_lists.append([None])
-        for combo in cartesian(*map_lists):
-            elements.append(SemistarElement(support, tuple(combo)))
-            lookups.append(
-                tuple(
-                    None if m_i is None else dict(zip(masks[i], m_i.image))
-                    for i, m_i in enumerate(combo)
-                )
-            )
-
-    order = sorted(
-        range(len(elements)),
-        key=lambda k: (
-            elements[k].support.sort_key(),
-            tuple(() if m_i is None else m_i.image for m_i in elements[k].maps),
-        ),
-    )
-    elements = [elements[k] for k in order]
-    lookups = [lookups[k] for k in order]
-
-    pairs = []
-    for a, ea in enumerate(elements):
-        masks_a = ea.support.masks
-        for b, eb in enumerate(elements):
-            if not masks_a >= eb.support.masks:
-                continue
-            ok = True
-            for i in range(m):
-                look_b = lookups[b][i]
-                if look_b is None:
-                    continue
-                look_a = lookups[a][i]
-                fp = fstars[i].poset
-                for mask, qb in look_b.items():
-                    if not fp.leq(look_a[mask], qb):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                pairs.append((a, b))
-
-    poset = Poset.from_relation(len(elements), pairs)
-    flags = frozenset(
-        k
-        for k, e in enumerate(elements)
-        if e.support.contains_domain()
-        and all(
-            lookups[k][i][e.support.full_mask] in fstars[i].ring_closing for i in range(m)
-        )
-    )
+    supports = enumerate_supports(len(fstars), max_branches=limits.max_branches)
+    blocks, elements, flags = [], [], set()
+    for support in sorted(supports, key=Support.sort_key):
+        block = _Block(support, fstars, len(elements), limits)
+        blocks.append(block)
+        closing = support.contains_domain()  # then the domain is entry 0 of every map
+        for maps in cartesian(*block.lists):
+            if closing and all(g.image[0] in f.ring_closing for g, f in zip(maps, fstars)):
+                flags.add(len(elements))
+            elements.append(SemistarElement(support, maps))
+    up, down = [0] * len(elements), [0] * len(elements)
+    for a, b in cartesian(blocks, repeat=2):
+        if not b.support.masks <= a.support.masks:
+            continue
+        rows = b.rows(a, False)
+        for k, row in enumerate(rows, a.offset):
+            up[k] |= row << b.offset
+        if a.size > 1 and b.size > 1:
+            rows = a.rows(b, True)
+        else:  # one row or one column: transpose the up rows
+            rows = [sum((r >> j & 1) << k for k, r in enumerate(rows)) for j in range(b.size)]
+        for k, row in enumerate(rows, b.offset):
+            down[k] |= row << a.offset
+    poset = Poset._unchecked(up, down)
     top = poset.unique_max()
     assert top is not None and elements[top].support.masks == frozenset({0})
-    result = SemistarPoset(FlaggedPoset(poset, flags), tuple(elements), branch_ids)
+    result = SemistarPoset(FlaggedPoset(poset, frozenset(flags)), tuple(elements), branch_ids)
     if len(_SEMISTAR_POSET_CACHE) < 1000:
         _SEMISTAR_POSET_CACHE[t] = result
     return result
@@ -530,6 +568,7 @@ def fstar_product(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> FlaggedPo
     """
     if len(t.nodes) == 1:
         return FlaggedPoset(chain(1), frozenset({0}))
+    _check_size(count_fstar(t, limits), limits, "fractional-star product")
     fstars = _branch_fstars(t, limits)
     acc = fstars[0]
     for nxt in fstars[1:]:

@@ -48,7 +48,7 @@ class Poset:
     transitivity and rejects anything that is not a partial order.
     """
 
-    __slots__ = ("size", "_up", "_down", "_hash")
+    __slots__ = ("size", "_up", "_down", "_hash", "_covers")
 
     def __init__(self, up_masks: Sequence[int]):
         up = tuple(up_masks)
@@ -67,25 +67,31 @@ class Poset:
                     raise ValueError(f"relation is not transitive through {i} <= {j}")
         self._finish(up, size)
 
-    def _finish(self, up: tuple[int, ...], size: int):
-        down = [0] * size
-        for i in range(size):
-            mask = up[i]
-            while mask:
-                low = mask & -mask
-                down[low.bit_length() - 1] |= 1 << i
-                mask ^= low
+    def _finish(self, up: tuple[int, ...], size: int, down=None):
+        if down is None:
+            down = [0] * size
+            for i in range(size):
+                mask = up[i]
+                while mask:
+                    low = mask & -mask
+                    down[low.bit_length() - 1] |= 1 << i
+                    mask ^= low
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "_up", up)
         object.__setattr__(self, "_down", tuple(down))
         object.__setattr__(self, "_hash", hash(up))
+        object.__setattr__(self, "_covers", None)
 
     @classmethod
-    def _unchecked(cls, up_masks) -> "Poset":
-        """For constructions that are partial orders by construction."""
+    def _unchecked(cls, up_masks, down_masks=None) -> "Poset":
+        """For constructions that are partial orders by construction.
+
+        ``down_masks``, when given, must be the transpose of ``up_masks``;
+        it saves the one pass over every related pair.
+        """
         obj = object.__new__(cls)
         up = tuple(up_masks)
-        obj._finish(up, len(up))
+        obj._finish(up, len(up), down_masks)
         return obj
 
     def __setattr__(self, name, value):
@@ -160,15 +166,26 @@ class Poset:
         return sorted(m.bit_count() for m in self._up) == list(range(1, self.size + 1))
 
     def covers(self) -> list[tuple[int, int]]:
-        """All covering pairs ``(lo, hi)`` with nothing strictly between."""
-        out = []
-        for i in range(self.size):
-            strict = self._up[i] ^ (1 << i)
-            between = 0
-            for j in _iter_bits(strict):
-                between |= self._up[j] ^ (1 << j)
-            out.extend((i, j) for j in _iter_bits(strict & ~between))
-        return sorted(out)
+        """All covering pairs ``(lo, hi)`` with nothing strictly between, computed once.
+
+        Above each ``i`` the covers are found one at a time: a minimal element
+        of what is left above ``i`` is a cover, and everything above it is
+        then dropped, so the work follows the covers, not all related pairs.
+        """
+        if self._covers is None:
+            out = []
+            for i in range(self.size):
+                rest = self._up[i] ^ (1 << i)
+                while rest:
+                    j = (rest & -rest).bit_length() - 1
+                    lower = self._down[j] & rest ^ (1 << j)
+                    while lower:  # descend to a minimal element of ``rest``
+                        j = (lower & -lower).bit_length() - 1
+                        lower = self._down[j] & rest ^ (1 << j)
+                    out.append((i, j))
+                    rest &= ~self._up[j]
+            object.__setattr__(self, "_covers", tuple(sorted(out)))
+        return list(self._covers)
 
     # -- value semantics -------------------------------------------------------
 
@@ -211,21 +228,27 @@ def chain(n: int) -> Poset:
     if n < 0:
         raise ValueError("chain length must be nonnegative")
     full = (1 << n) - 1
-    return Poset._unchecked(full & ~((1 << i) - 1) for i in range(n))
+    return Poset._unchecked(
+        [full & ~((1 << i) - 1) for i in range(n)], [(2 << i) - 1 for i in range(n)]
+    )
 
 
 def antichain(n: int) -> Poset:
     """n pairwise incomparable elements."""
-    return Poset._unchecked(1 << i for i in range(n))
+    bits = [1 << i for i in range(n)]
+    return Poset._unchecked(bits, bits)
 
 
 def ordinal_sum(p: Poset, q: Poset) -> Poset:
     """Disjoint union with every element of ``p`` below every element of ``q``."""
     qs = p.size
     above = ((1 << q.size) - 1) << qs
+    below = (1 << qs) - 1
     up = [p.up_mask(i) | above for i in range(p.size)]
     up.extend(q.up_mask(j) << qs for j in range(q.size))
-    return Poset._unchecked(up)
+    down = [p.down_mask(i) for i in range(p.size)]
+    down.extend(q.down_mask(j) << qs | below for j in range(q.size))
+    return Poset._unchecked(up, down)
 
 
 def product(p: Poset, q: Poset) -> Poset:
@@ -242,17 +265,24 @@ def product(p: Poset, q: Poset) -> Poset:
 
 
 def subposet(p: Poset, elements: Iterable[int]) -> Poset:
-    """The induced order on the given elements, re-indexed in ascending order."""
+    """The induced order on the given elements, re-indexed in ascending order.
+
+    Each mask is compressed one run of consecutive kept elements at a time.
+    """
     keep = sorted(set(elements))
-    pos = {e: i for i, e in enumerate(keep)}
-    up = []
-    for e in keep:
-        mask = 0
-        for j in _iter_bits(p.up_mask(e)):
-            if j in pos:
-                mask |= 1 << pos[j]
-        up.append(mask)
-    return Poset._unchecked(up)
+    runs = []  # [first element, length, new index of the first element]
+    for i, e in enumerate(keep):
+        if runs and runs[-1][0] + runs[-1][1] == e:
+            runs[-1][1] += 1
+        else:
+            runs.append([e, 1, i])
+
+    def compress(mask: int) -> int:
+        return sum((mask >> e & (1 << n) - 1) << i for e, n, i in runs)
+
+    return Poset._unchecked(
+        [compress(p.up_mask(e)) for e in keep], [compress(p.down_mask(e)) for e in keep]
+    )
 
 
 def _sub_from_mask(p: Poset, mask: int) -> Poset:
@@ -397,7 +427,7 @@ def enum_hom(p: Poset, q: Poset, *, max_maps: int = DEFAULT_MAX_MAPS) -> list[Or
 # -- counting --------------------------------------------------------------------
 
 _CHAIN_POLY_CACHE: dict[Poset, MultiPoly] = {}
-_COUNT_CACHE: dict[tuple[Poset, Poset], int] = {}
+_COUNT_CACHE: dict[tuple[Poset, Poset], tuple[int, int]] = {}
 
 
 def _chain_count_values(p: Poset, n_max: int) -> list[int]:
@@ -485,8 +515,8 @@ def _peel_chain_tail(q: Poset) -> tuple[Poset, int]:
     return result
 
 
-def _backtrack_count(p: Poset, q: Poset, max_steps: int | None) -> int:
-    """Exhaustive count for irregular targets (never materializes the maps)."""
+def _backtrack_count(p: Poset, q: Poset, max_steps: int | None) -> tuple[int, int]:
+    """Exhaustive count for irregular targets (never materializes the maps), with its steps."""
     ext = _linear_extension(p)
     preds = [[y for y in ext[:k] if p.lt(y, x)] for k, x in enumerate(ext)]
     full = (1 << q.size) - 1
@@ -510,7 +540,40 @@ def _backtrack_count(p: Poset, q: Poset, max_steps: int | None) -> int:
         image.pop(ext[k], None)
         return total
 
-    return count(0)
+    return count(0), steps
+
+
+def _count_entry(p: Poset, q: Poset, max_steps: int | None) -> tuple[int, int]:
+    """``(|hom(p, q)|, steps)``, cached, with ``steps`` the longest backtracking run it took.
+
+    The limit is checked against the stored steps on every call, so a
+    cached count raises exactly when computing it afresh would.
+    """
+    if p.size == 0:
+        return 1, 0
+    if q.size == 0:
+        return 0, 0
+    key = (p, q)
+    cached = _COUNT_CACHE.get(key)
+    if cached is None:
+        q0, tail = _peel_chain_tail(q)
+        steps = 0
+        if not q0.size:
+            result = _count_into_chain(p, tail)
+        elif tail == 0:
+            result, steps = _backtrack_count(p, q, max_steps)
+        else:
+            result = 0
+            full = (1 << p.size) - 1
+            for mask in _down_set_masks(p):
+                lower, sub = _count_entry(_sub_from_mask(p, mask), q0, max_steps)
+                steps = max(steps, sub)
+                if lower:
+                    result += lower * _count_into_chain(_sub_from_mask(p, full & ~mask), tail)
+        cached = _COUNT_CACHE[key] = (result, steps)
+    if max_steps is not None and cached[1] > max_steps:
+        raise EnumerationLimitError(f"map counting exceeded {max_steps} steps")
+    return cached
 
 
 def count_hom(p: Poset, q: Poset, *, max_steps: int | None = None) -> int:
@@ -519,30 +582,11 @@ def count_hom(p: Poset, q: Poset, *, max_steps: int | None = None) -> int:
     Agrees with ``len(enum_hom(p, q))`` whenever both run.  Targets of the
     form (base ⊕ chain) are counted by splitting each map at the chain: the
     part landing in the base lives on a down-set of ``p`` and the rest is
-    counted by the chain polynomial of the complementary up-set.
+    counted by the chain polynomial of the complementary up-set.  With
+    ``max_steps``, a backtracking run longer than that raises, whether or
+    not the count is already cached.
     """
-    if p.size == 0:
-        return 1
-    if q.size == 0:
-        return 0
-    key = (p, q)
-    cached = _COUNT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    q0, tail = _peel_chain_tail(q)
-    if not q0.size:
-        result = _count_into_chain(p, tail)
-    elif tail == 0:
-        result = _backtrack_count(p, q, max_steps)
-    else:
-        result = 0
-        full = (1 << p.size) - 1
-        for mask in _down_set_masks(p):
-            lower = count_hom(_sub_from_mask(p, mask), q0, max_steps=max_steps)
-            if lower:
-                result += lower * _count_into_chain(_sub_from_mask(p, full & ~mask), tail)
-    _COUNT_CACHE[key] = result
-    return result
+    return _count_entry(p, q, max_steps)[0]
 
 
 def hom_polynomial(

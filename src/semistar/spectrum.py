@@ -22,7 +22,7 @@ containing the empty mask (the quotient field).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -458,6 +458,9 @@ class Support:
 
     branch_count: int
     masks: frozenset[int]
+    # computed once: every count looks up components many times
+    _sorted: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _components: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         full = (1 << self.branch_count) - 1
@@ -472,6 +475,12 @@ class Support:
                     raise ValueError(
                         f"family is not union-closed: {a} | {b} = {a | b} is missing"
                     )
+        ordered = tuple(sorted(self.masks, key=_component_sort_key))
+        components = tuple(
+            tuple(m for m in ordered if (m >> b) & 1) for b in range(self.branch_count)
+        )
+        object.__setattr__(self, "_sorted", ordered)
+        object.__setattr__(self, "_components", components)
 
     @property
     def full_mask(self) -> int:
@@ -481,15 +490,13 @@ class Support:
         return self.full_mask in self.masks
 
     def sorted_masks(self) -> tuple[int, ...]:
-        return tuple(sorted(self.masks, key=_component_sort_key))
+        return self._sorted
 
     def component(self, branch: int) -> tuple[int, ...]:
         """The masks of the family whose ring sits inside the given branch."""
         if not 0 <= branch < self.branch_count:
             raise ValueError(f"branch index {branch} out of range")
-        return tuple(
-            m for m in self.sorted_masks() if (m >> branch) & 1
-        )
+        return self._components[branch]
 
     def component_poset(self, branch: int) -> tuple[Poset, int | None]:
         """The component as a poset, plus the index of the domain if present.
@@ -503,7 +510,7 @@ class Support:
         return (len(self.masks), tuple(sorted(self.masks)))
 
     def label(self, branch_ids: Sequence[str]) -> str:
-        names = [_mask_label(m, branch_ids) for m in sorted(self.masks, key=_component_sort_key)]
+        names = [_mask_label(m, branch_ids) for m in self.sorted_masks()]
         return "{" + ", ".join(names) + "}"
 
 

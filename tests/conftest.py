@@ -1,6 +1,9 @@
 """Shared tree builders and random generators for the test suite."""
 
+import os
 import random
+import subprocess
+import sys
 
 from semistar import Poset, build_tree
 from semistar.posets import _iter_bits
@@ -103,3 +106,15 @@ def random_tree(rng: random.Random, max_omega: int = 4, shapes=range(7)):
 
 def iter_bits(mask):
     return list(_iter_bits(mask))
+
+
+def run_fresh(script):
+    """Run ``script`` in a new interpreter at the repository root, with empty caches."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True
+    )

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import final_example, h_local, random_tree, valuation, y_tree
+from conftest import final_example, h_local, random_tree, run_fresh, valuation, y_tree
 from semistar import (
     EnumerationLimitError,
     FlaggedPoset,
@@ -611,25 +611,26 @@ def test_fstar_poset_size_checked_on_every_call():
         fstar_poset(valuation(2500, 1))
 
 
-def test_count_fstar_needs_no_poset_cold_and_warm():
-    import os
-    import subprocess
-    import sys
+def test_fstar_product_checks_its_size_before_building():
+    import time
 
+    # two internal branches with 24 123 fractional-star operations in all
+    t = random_tree(random.Random(17), shapes=(0, 1, 2, 3, 4, 6))
+    assert count_fstar(t) == 24_123
+    start = time.perf_counter()
+    with pytest.raises(EnumerationLimitError, match="fractional-star product"):
+        fstar_product(t)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_count_fstar_needs_no_poset_cold_and_warm():
     script = (
         "import sys; sys.path.insert(0, 'tests')\n"
         "from test_engine import _two_branch_small\n"
         "from semistar import Limits, count_fstar\n"
         "print(count_fstar(_two_branch_small(), Limits(max_poset=10)))\n"
     )
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(root, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
-    cold = subprocess.run(
-        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True
-    )
+    cold = run_fresh(script)
     assert cold.returncode == 0, cold.stderr
     assert cold.stdout.strip() == "30"
     t = _two_branch_small()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_poset
+from conftest import random_poset, run_fresh
 from semistar import (
     EnumerationLimitError,
     OrderMap,
@@ -152,6 +152,39 @@ def test_count_hom_irregular_target_with_chain_on_top():
         assert count_hom(p, target) == brute_count_hom(p, target)
 
 
+def _two_short_chains():
+    return Poset.from_covers(4, [(0, 1), (2, 3)])
+
+
+def test_count_hom_step_limit_cold_and_warm():
+    # antichain(3) into two 2-chains side by side backtracks in 21 steps
+    script = (
+        "import sys; sys.path.insert(0, 'tests')\n"
+        "from test_posets import _two_short_chains\n"
+        "from semistar import EnumerationLimitError, antichain, count_hom\n"
+        "for steps in (20, 21):\n"
+        "    try:\n"
+        "        print(count_hom(antichain(3), _two_short_chains(), max_steps=steps))\n"
+        "    except EnumerationLimitError:\n"
+        "        print('limit')\n"
+    )
+    cold = run_fresh(script)
+    assert cold.returncode == 0, cold.stderr
+    assert cold.stdout.split() == ["limit", "64"]
+    p, q = antichain(3), _two_short_chains()
+    assert count_hom(p, q) == 64
+    with pytest.raises(EnumerationLimitError):
+        count_hom(p, q, max_steps=2)
+    with pytest.raises(EnumerationLimitError):
+        count_hom(p, q, max_steps=20)
+    assert count_hom(p, q, max_steps=21) == 64
+    # a chain stacked on top reuses the cached count of the base, and its limit
+    with pytest.raises(EnumerationLimitError):
+        count_hom(p, ordinal_sum(q, chain(1)), max_steps=2)
+    with pytest.raises(EnumerationLimitError):
+        hom_polynomial(p, q, max_steps=2)
+
+
 def test_hom_polynomial_known():
     h2 = hom_polynomial(chain(2), chain(0))
     assert h2 == binomial_order_poly(2)
@@ -175,6 +208,20 @@ def test_subposet_and_covers():
     assert subposet(d, [0, 3]).covers() == [(0, 1)]
     assert chain(4).covers() == [(0, 1), (1, 2), (2, 3)]
     assert d.unique_max() == 3 and d.unique_min() == 0
+
+
+@given(posets)
+@settings(max_examples=60, deadline=None)
+def test_covers_are_the_pairs_with_nothing_between(p):
+    expected = sorted(
+        (i, j)
+        for i in range(p.size)
+        for j in range(p.size)
+        if p.lt(i, j) and not any(p.lt(i, k) and p.lt(k, j) for k in range(p.size))
+    )
+    assert p.covers() == expected
+    p.covers().clear()  # callers get a copy of the cached pairs
+    assert p.covers() == expected
 
 
 def test_isomorphism_checker():
