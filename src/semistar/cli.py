@@ -77,7 +77,10 @@ def _limits(args) -> engine.Limits:
 
 def _load(path):
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError("JSON input nests too deeply") from None
     return validate_tree(data)
 
 
@@ -125,7 +128,9 @@ def _cmd_hasse(args) -> int:
         return EXIT_OK
     if target == "semistar":
         sp = engine.semistar_poset(tree, limits)
-        flagged, labels = sp.flagged, [e.support.label(sp.branch_ids) for e in sp.elements]
+        # every element of a support shares its label, so render it once
+        names = {s: s.label(sp.branch_ids) for s in dict.fromkeys(e.support for e in sp.elements)}
+        flagged, labels = sp.flagged, [names[e.support] for e in sp.elements]
     elif target.startswith("fstar:"):
         child = target.split(":", 1)[1]
         if child not in standard_decomposition(tree):

@@ -252,16 +252,23 @@ def ordinal_sum(p: Poset, q: Poset) -> Poset:
 
 
 def product(p: Poset, q: Poset) -> Poset:
-    """Componentwise order on pairs; element (i, j) has index i*|q| + j."""
-    up = []
-    for i in range(p.size):
-        for j in range(q.size):
-            mask = 0
-            for a in _iter_bits(p.up_mask(i)):
-                for b in _iter_bits(q.up_mask(j)):
-                    mask |= 1 << (a * q.size + b)
-            up.append(mask)
-    return Poset._unchecked(up)
+    """Componentwise order on pairs; element (i, j) has index i*|q| + j.
+
+    The up-set of (i, j) is the union, over ``a`` above ``i``, of the up-set
+    of ``j`` shifted to row ``a`` (rows do not overlap, so the union is a
+    sum); down-sets likewise.  The work follows the up-set sizes of ``p``.
+    """
+    n = q.size
+
+    def masks(p_mask, q_mask) -> list[int]:
+        rows = [[q_mask(j) << a * n for j in range(n)] for a in range(p.size)]
+        out = []
+        for i in range(p.size):
+            above = list(_iter_bits(p_mask(i)))
+            out.extend(sum(rows[a][j] for a in above) for j in range(n))
+        return out
+
+    return Poset._unchecked(masks(p.up_mask, q.up_mask), masks(p.down_mask, q.down_mask))
 
 
 def subposet(p: Poset, elements: Iterable[int]) -> Poset:
@@ -381,7 +388,8 @@ def _linear_extension(p: Poset) -> list[int]:
 
 
 _ENUM_HOM_CACHE: dict[tuple[Poset, Poset], tuple[OrderMap, ...]] = {}
-_ENUM_HOM_CACHE_MAX = 20_000
+_ENUM_HOM_CACHE_MAX = 20_000  # maps per entry
+_ENUM_HOM_CACHE_ENTRIES = 2_000
 
 
 def enum_hom(p: Poset, q: Poset, *, max_maps: int = DEFAULT_MAX_MAPS) -> list[OrderMap]:
@@ -419,7 +427,7 @@ def enum_hom(p: Poset, q: Poset, *, max_maps: int = DEFAULT_MAX_MAPS) -> list[Or
             assign(k + 1)
 
     assign(0)
-    if len(out) <= _ENUM_HOM_CACHE_MAX:
+    if len(out) <= _ENUM_HOM_CACHE_MAX and len(_ENUM_HOM_CACHE) < _ENUM_HOM_CACHE_ENTRIES:
         _ENUM_HOM_CACHE[(p, q)] = tuple(out)
     return out
 

@@ -22,6 +22,7 @@ containing the empty mask (the quotient field).
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -527,8 +528,42 @@ def _component_poset(masks: tuple[int, ...], full_mask: int) -> tuple[Poset, int
     return poset, d_index
 
 
+class SupportTable:
+    """The supports over ``m`` branches, reduced to the shapes of their components.
+
+    A support enters a support sum only through its component posets, one
+    per branch, so the sum needs just: ``shapes``, the distinct pairs
+    ``(component poset, domain index)`` (the index is ``None`` in the table
+    for the sum over all supports); ``columns[i]``, each row's shape id at
+    branch ``i``; and ``multiplicity``, the number of supports with that row
+    (identical rows are merged).  The domain-closing table keeps only the
+    supports containing the domain.  Columns are ``bytes`` while the shape
+    ids fit, so a table for four branches holds about 20 kB.
+    """
+
+    __slots__ = ("shapes", "columns", "multiplicity")
+
+    def __init__(self, supports: Sequence[Support], m: int, closing: bool):
+        ids: dict[tuple[Poset, int | None], int] = {}
+        rows: dict[tuple[int, ...], int] = {}
+        for support in supports:
+            if closing and not support.contains_domain():
+                continue
+            row = []
+            for i in range(m):
+                component, d_index = support.component_poset(i)
+                row.append(ids.setdefault((component, d_index if closing else None), len(ids)))
+            row = tuple(row)
+            rows[row] = rows.get(row, 0) + 1
+        self.shapes = tuple(ids)
+        columns = ([row[i] for row in rows] for i in range(m))
+        self.columns = tuple(bytes(c) if len(ids) <= 256 else array("I", c) for c in columns)
+        self.multiplicity = array("I", rows.values())
+
+
 @lru_cache(maxsize=64)
-def _enumerate_supports_cached(m: int) -> tuple[Support, ...]:
+def _supports(m: int) -> tuple[tuple[Support, ...], dict[bool, SupportTable]]:
+    """The supports over ``m`` branches, with room for their two shape tables."""
     subsets = sorted(range(1, 1 << m), key=lambda s: (s.bit_count(), s))
     found: list[frozenset[int]] = []
 
@@ -547,7 +582,7 @@ def _enumerate_supports_cached(m: int) -> tuple[Support, ...]:
     extend(0, [])
     supports = [Support(m, fam | {0}) for fam in found]
     supports.sort(key=Support.sort_key)
-    return tuple(supports)
+    return tuple(supports), {}
 
 
 def enumerate_supports(
@@ -570,4 +605,19 @@ def enumerate_supports(
         raise EnumerationLimitError(
             f"support enumeration limited to {max_branches} branches, got {m}"
         )
-    return _enumerate_supports_cached(m)
+    return _supports(m)[0]
+
+
+def support_table(
+    m: int, closing: bool, *, max_branches: int = DEFAULT_MAX_BRANCHES
+) -> SupportTable:
+    """The shape table of the supports over ``m`` branches (see :class:`SupportTable`).
+
+    It goes through :func:`enumerate_supports`, so the branch limit holds
+    here too; the table is kept with the supports it was built from.
+    """
+    supports = enumerate_supports(m, max_branches=max_branches)
+    tables = _supports(m)[1]
+    if closing not in tables:
+        tables[closing] = SupportTable(supports, m, closing)
+    return tables[closing]

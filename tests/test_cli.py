@@ -1,6 +1,9 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semistar.cli import main
 
@@ -253,3 +256,112 @@ def test_count_over_a_big_quotient(tmp_path, capsys):
     code, out, _ = run(capsys, "count", path, "--format", "json")
     assert code == 0
     assert json.loads(out) == {"semistar": 58612, "fstar": 58611, "smstar": 15606, "star": 15606}
+
+
+def test_hasse_labels_name_each_element_by_its_support(fex_path, capsys):
+    from semistar import semistar_poset
+    from semistar.spectrum import load_tree
+
+    sp = semistar_poset(load_tree(fex_path))
+    expected = [e.support.label(sp.branch_ids) for e in sp.elements]
+    code, out, _ = run(capsys, "hasse", fex_path, "--format", "json")
+    assert code == 0 and json.loads(out)["labels"] == expected
+    code, out, _ = run(capsys, "hasse", fex_path)
+    assert code == 0
+    assert out == sp.flagged.to_dot(labels=expected) + "\n"
+
+
+# -- malformed input ---------------------------------------------------------------------
+
+
+def test_deeply_nested_json_exit_3(tmp_path):
+    from conftest import run_fresh
+
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    proc = run_fresh(
+        "import sys\nfrom semistar.cli import main\n"
+        f"sys.exit(main(['count', {str(path)!r}]))\n"
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr and "nests too deeply" in proc.stderr
+
+
+_COMMANDS = (
+    ("count",), ("validate",), ("supports",), ("hasse",), ("oracle-check",),
+    ("poly", "--semistar"),
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+_NOT_AN_INTEGER = st.none() | st.booleans() | st.floats() | st.text(max_size=5) | st.lists(
+    st.integers(), max_size=2
+)
+
+
+@st.composite
+def _malformed_nodes(draw):
+    """The node list of a valid tree with one to three faults, each alone fatal."""
+    from conftest import random_tree
+
+    rows = random_tree(random.Random(draw(st.integers(0, 2**16)))).to_dict()["nodes"]
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(rows) - 1))
+        if not isinstance(rows[k], dict):
+            rows.append(rows[k])  # a second non-object row
+            continue
+        row, fault = dict(rows[k]), draw(st.integers(0, 8))
+        if fault == 0:
+            row.pop(draw(st.sampled_from(["id", "parent", "omega"])))
+        elif fault == 1:
+            row["id"] = draw(st.just("") | _NOT_AN_INTEGER.filter(lambda v: not isinstance(v, str)))
+        elif fault == 2:
+            row["parent"] = draw(st.booleans() | st.integers() | st.lists(st.integers(), max_size=1))
+        elif fault == 3:
+            row["parent"] = "no such node"
+        elif fault == 4:
+            row["omega"] = draw(_NOT_AN_INTEGER | st.integers(max_value=0))
+        elif fault == 5:
+            row["epsilon"] = draw(_NOT_AN_INTEGER.filter(lambda v: v is not None))
+        elif fault == 6:
+            known = {"id", "parent", "omega", "epsilon"}
+            row[draw(st.text(min_size=1, max_size=5).filter(lambda s: s not in known))] = 1
+        elif fault == 7:
+            rows.append(dict(row))  # a duplicate id
+        else:
+            row = draw(_JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+        rows[k] = row
+    return {"nodes": rows} if draw(st.booleans()) else rows
+
+
+def _texts():
+    valid = json.dumps(FEX)
+    nested = st.integers(1, 120_000)
+    return st.one_of(
+        st.text(max_size=40),
+        st.integers(0, len(valid) - 1).map(lambda n: valid[:n]),
+        nested.map(lambda d: "[" * d),
+        nested.map(lambda d: "[" * d + "]" * d),
+        nested.map(lambda d: '{"nodes": ' + '{"a": ' * d),
+        _malformed_nodes().map(json.dumps),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_texts(), st.sampled_from(_COMMANDS))
+def test_malformed_input_never_escapes_the_exit_codes(text, command):
+    import contextlib
+    import io
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/tree.json"
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command[0], path, *command[1:]])
+    assert code in (1, 3)
+    assert "Traceback" not in err.getvalue() and err.getvalue()

@@ -79,6 +79,25 @@ def test_product_commutative_up_to_iso():
         assert are_isomorphic(product(p, q), product(q, p))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(posets, posets)
+def test_product_matches_pairwise_definition(p, q):
+    n = q.size
+    up = [
+        sum(
+            1 << (a * n + b)
+            for a in range(p.size) for b in range(n)
+            if p.leq(i, a) and q.leq(j, b)
+        )
+        for i in range(p.size) for j in range(n)
+    ]
+    pq = product(p, q)
+    assert pq == Poset(up)  # the checking constructor: a partial order
+    assert [pq.down_mask(k) for k in range(pq.size)] == [
+        Poset(up).down_mask(k) for k in range(pq.size)
+    ]
+
+
 def test_product_hom_multiplicativity():
     rng = random.Random(5)
     for _ in range(25):
@@ -112,6 +131,23 @@ def test_enum_hom_maps_are_valid_and_deterministic():
     for m in maps:
         OrderMap(p, q, m.image)  # re-validate through the checking constructor
     assert len(set(m.image for m in maps)) == len(maps)
+
+
+def test_enum_hom_does_not_depend_on_cache_state(monkeypatch):
+    from semistar import posets as posets_module
+
+    pairs = [(diamond(), chain(3)), (antichain(2), diamond()), (chain(2), antichain(3))]
+    cold = [[m.image for m in enum_hom(p, q)] for p, q in pairs]
+    # a full cache takes no new entry, and answers and limits stay the same
+    monkeypatch.setattr(posets_module, "_ENUM_HOM_CACHE", {})
+    monkeypatch.setattr(posets_module, "_ENUM_HOM_CACHE_ENTRIES", 1)
+    for _ in range(2):
+        assert [[m.image for m in enum_hom(p, q)] for p, q in pairs] == cold
+        assert len(posets_module._ENUM_HOM_CACHE) == 1
+        with pytest.raises(EnumerationLimitError):
+            enum_hom(*pairs[0], max_maps=len(cold[0]) - 1)
+        with pytest.raises(EnumerationLimitError):
+            enum_hom(*pairs[1], max_maps=len(cold[1]) - 1)
 
 
 def test_order_map_rejects_non_monotone():
