@@ -4,6 +4,11 @@ A domain enters as its labeled spectral tree (see :mod:`semistar.spectrum`);
 the library computes, exactly, the ordered sets and cardinalities of its
 semistar, fractional-star, domain-closing and star operations, together with
 the symbolic polynomials counting them as the tree weights vary.
+
+Two exports are cross-checks rather than counting paths: ``interpolate``
+recovers a polynomial from its values and ``semistar_element_counts`` counts
+by enumerating every operation.  The tests hold the counts and polynomials
+against them; nothing in the counting code calls them.
 """
 
 from .errors import (

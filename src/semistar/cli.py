@@ -28,7 +28,7 @@ def _add_common(sub: argparse.ArgumentParser, formats: tuple[str, ...]):
     sub.add_argument(
         "--max-maps",
         type=int,
-        default=int(os.environ.get("SEMISTAR_MAX_MAPS", engine.DEFAULT_LIMITS.max_maps)),
+        default=None,  # read from the environment on every call, in _limits
         help="enumeration cap (env SEMISTAR_MAX_MAPS)",
     )
     sub.add_argument("--max-poset", type=int, default=engine.DEFAULT_LIMITS.max_poset)
@@ -69,9 +69,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; ``parse_args`` leaves it unchanged."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def _limits(args) -> engine.Limits:
+    max_maps = args.max_maps
+    if max_maps is None:
+        max_maps = int(os.environ.get("SEMISTAR_MAX_MAPS", engine.DEFAULT_LIMITS.max_maps))
     return engine.Limits(
-        max_branches=args.max_branches, max_maps=args.max_maps, max_poset=args.max_poset
+        max_branches=args.max_branches, max_maps=max_maps, max_poset=args.max_poset
     )
 
 
@@ -208,7 +222,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except SpectrumValidationError as exc:

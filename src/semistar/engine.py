@@ -22,14 +22,17 @@ element.
 A count is a sum over supports of products of per-branch polynomials in the
 branch weights, since maps of a component ``C`` into base plus an ``n``-chain
 split at the chain: the sum over down-sets ``D`` of ``|hom(D, base)|`` times
-Stanley's order polynomial of ``C - D`` at ``n``.  Evaluated at the labels the
-sum is a count, left symbolic in chosen branches a counting polynomial; the
-weight chain is never built to count.  A support's term depends only on its
-component shapes, so the sum runs over a table fixed by the branch count
-(``spectrum.support_table``: 2 480 supports but 38 shapes at four branches):
-each branch's factor is taken once per shape and multiplied into the rows
-column by column.  The tests check the counts against
-element enumeration (``semistar_element_counts``), materialization
+Stanley's order polynomial of ``C - D`` at ``n``.  Every such factor is kept
+as integers ``e_k`` in the binomial basis, ``sum(e_k * C(n, k))``, where order
+polynomials have integer coefficients.  Evaluated at the labels the sum is a
+count, in integers only; left symbolic in chosen branches it is a sum of
+integer multiples of products of binomials, turned into one ``MultiPoly`` at
+the end.  The weight chain is never built to count.  A support's term depends
+only on its component shapes, so the sum runs over a table fixed by the
+branch count (``spectrum.support_table``: 2 480 supports but 38 shapes at
+four branches): each branch's factor is taken once per shape and multiplied
+into the rows column by column.  The tests check the counts against element
+enumeration (``semistar_element_counts``), materialization
 (``semistar_poset``), the brute-force oracle and interpolation.
 """
 
@@ -37,17 +40,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as cartesian
-from math import comb, prod
+from math import prod
 from typing import Mapping, Sequence
 
 from .errors import EnumerationLimitError
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, binomial_value
 from .posets import (
     OrderMap,
     Poset,
     chain,
     enum_hom,
-    hom_polynomial,
+    hom_coefficients,
     ordinal_sum,
     product,
     subposet,
@@ -244,16 +247,16 @@ def _branch_fstars(t: SpectrumTree, limits: Limits) -> list[FlaggedPoset]:
 # -- counting ------------------------------------------------------------------
 
 
-_N = MultiPoly.variable("n")  # the weight of a branch in its map-count polynomials
+def _shifted(h: tuple[int, ...]) -> tuple[int, ...]:
+    """``h(n - 1)`` in the basis C(n, k), by C(n - 1, k) = sum over j of (-1)^(k - j) C(n, j).
 
-
-def _shifted(h: MultiPoly) -> MultiPoly:
-    """``h(n - 1)`` for a polynomial ``h`` in ``n``, by the binomial theorem."""
-    c = [h.coefficient({"n": k}) for k in range(h.degree() + 1)]
-    return MultiPoly(("n",), {
-        (j,): sum((-1) ** (k - j) * comb(k, j) * c[k] for k in range(j, len(c)))
-        for j in range(len(c))
-    })
+    Its coefficients satisfy ``f[j] = h[j] - f[j + 1]``, filled from the top.
+    """
+    out, f = [], 0
+    for c in reversed(h):
+        f = c - f
+        out.append(f)
+    return tuple(reversed(out))
 
 
 def tildhom_count(
@@ -261,47 +264,51 @@ def tildhom_count(
     d_index: int | None,
     branch: SpectrumTree,
     limits: Limits = DEFAULT_LIMITS,
-) -> MultiPoly:
+) -> tuple[int, ...]:
     """Maps of a support component into one branch, as a polynomial in its weight ``n``.
 
+    The polynomial is returned as integers ``e`` in the binomial basis: the
+    count is ``sum(e[k] * C(n, k))`` (``MultiPoly.from_binomial`` expands it).
     With no designated domain element this counts every order-preserving
-    map into base plus an ``n``-chain (``n + |base|`` for one point, with
-    no base built).  Otherwise the domain is the minimum of the component
-    and must go to a starred element ``q``; the rest of the component maps
-    into the up-set of ``q``.  For an internal branch the flags lie in the
-    base, so the count sums the maps of the rest into up-set plus chain over
-    the flags.  For a leaf the flags are the bottom ``epsilon`` chain
-    elements, which gives ``h(n) + (epsilon - 1) h(n - 1)`` with ``h`` the
-    order polynomial of the rest.
+    map into base plus an ``n``-chain (``|base| + n``, that is
+    ``(|base|, 1)``, for one point, with no base built).  Otherwise the
+    domain is the minimum of the component and must go to a starred element
+    ``q``; the rest of the component maps into the up-set of ``q``.  For an
+    internal branch the flags lie in the base, so the count sums the maps of
+    the rest into up-set plus chain over the flags.  For a leaf the flags
+    are the bottom ``epsilon`` chain elements, which gives
+    ``h(n) + (epsilon - 1) h(n - 1)`` with ``h`` the order polynomial of the
+    rest.
     """
     record = _single_branch(branch, limits)
     if d_index is None:
         if component.size == 1:
-            return _N + record.base_size
+            return (record.base_size, 1)
         base, _ = _base(record, limits)
-        return hom_polynomial(component, base, max_steps=limits.max_maps)
+        return hom_coefficients(component, base, max_steps=limits.max_maps)
     if component.up_mask(d_index) != (1 << component.size) - 1:
         raise ValueError("the designated domain element must be the component minimum")
     rest = subposet(component, (i for i in range(component.size) if i != d_index))
     if record.quotient is None:
-        h = hom_polynomial(rest, record.base)
-        return h if record.flag_count == 1 else h + _shifted(h)
+        h = hom_coefficients(rest, record.base)
+        return h if record.flag_count == 1 else tuple(a + b for a, b in zip(h, _shifted(h)))
     if not rest.size:
-        return MultiPoly.constant(record.flag_count)
+        return (record.flag_count,)
     base, flags = _base(record, limits)
     if rest.size == 1:  # one point maps to an up-set U or the chain: |U| + n
-        return len(flags) * _N + sum(base.up_mask(q).bit_count() for q in flags)
-    total = MultiPoly.zero()
+        return (sum(base.up_mask(q).bit_count() for q in flags), len(flags))
+    total = [0] * (rest.size + 1)
     for q in sorted(flags):
         upper = subposet(base, _iter_bits(base.up_mask(q)))
-        total = total + hom_polynomial(rest, upper, max_steps=limits.max_maps)
-    return total
+        for k, c in enumerate(hom_coefficients(rest, upper, max_steps=limits.max_maps)):
+            total[k] += c
+    return tuple(total)
 
 
 def _term(
     record: _Branch, component: Poset, d_index: int | None, symbolic: bool, limits: Limits
-) -> int | MultiPoly:
-    """One branch's factor for one support: its polynomial, or that at ``omega``."""
+) -> int | tuple[int, ...]:
+    """One branch's factor for one support: coefficients in C(n, k), or their value at ``omega``."""
     if component.size > 1 and record.quotient is not None:
         _base(record, limits)  # checks the limit whether or not the term is cached
     key = (component, d_index, symbolic)
@@ -310,17 +317,17 @@ def _term(
         if symbolic:
             term = tildhom_count(component, d_index, record.tree, limits)
         else:
-            poly = _term(record, component, d_index, True, limits)
-            term = int(poly.evaluate({"n": record.omega}))
+            coefficients = _term(record, component, d_index, True, limits)
+            term = binomial_value(coefficients, record.omega)
         record.terms[key] = term
     return term
 
 
-def _by_degree(term: int | MultiPoly) -> list[tuple[int, int]]:
-    """A branch factor in its weight ``n`` as (degree, coefficient) pairs."""
+def _by_index(term: int | tuple[int, ...]) -> list[tuple[int, int]]:
+    """A branch factor in its weight ``n`` as (k, coefficient of C(n, k)) pairs."""
     if isinstance(term, int):
         return [(0, term)]
-    return [(e[0] if e else 0, c) for e, c in term.terms.items()]
+    return [(k, c) for k, c in enumerate(term) if c]
 
 
 def _support_sum(
@@ -334,8 +341,9 @@ def _support_sum(
     takes its factor once per shape, and the branches at their labels are
     folded into the row multiplicities one column at a time.  Branches in
     ``symbolic`` (root child id to variable name) stay polynomials in their
-    weight: rows are grouped by their symbolic shapes, and the coefficient
-    products of the groups add up in one dict.
+    weight: rows are grouped by their symbolic shapes, and the integer
+    coefficient products of the groups add up in one dict keyed by binomial
+    indices, which becomes a ``MultiPoly`` once, at the end.
     """
     records = _branches(t, limits)
     table = support_table(len(records), closing, max_branches=limits.max_branches)
@@ -351,20 +359,20 @@ def _support_sum(
         if name is None:
             acc = [a * factors[s] for a, s in zip(acc, column)]
         else:
-            kept.append((name, column, {s: _by_degree(f) for s, f in factors.items()}))
+            kept.append((name, column, {s: _by_index(f) for s, f in factors.items()}))
     if not kept:
         return sum(acc)
     groups: dict[tuple[int, ...], int] = {}
     for key, factor in zip(zip(*(column for _, column, _ in kept)), acc):
         groups[key] = groups.get(key, 0) + factor
-    total = {}  # exponent tuples hold one entry per symbolic branch, in branch order
+    total = {}  # index tuples hold one entry per symbolic branch, in branch order
     for key, factor in groups.items():
         term = {(): factor}
         for s, (_, _, pieces) in zip(key, kept):
             term = {e + (k,): c * a for e, c in term.items() for k, a in pieces[s]}
         for e, c in term.items():
             total[e] = total.get(e, 0) + c
-    return MultiPoly([name for name, _, _ in kept], total)
+    return MultiPoly.from_binomial([name for name, _, _ in kept], total)
 
 
 def count_semistar(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
@@ -656,6 +664,8 @@ def smstar_polynomial(
             )
 
     symbolic = {v: v for v in omega_variables}
+    if not eps_ids:
+        return _support_sum(t, True, symbolic, limits)
     # a symbolic weight's label is never read, so it may rise to admit epsilon 2
     omega = {v: 2 for v in eps_ids if v in symbolic and t.omega(v) < 2}
     total = MultiPoly.zero()

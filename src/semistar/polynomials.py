@@ -1,4 +1,4 @@
-"""Exact multivariate polynomials over the rationals.
+"""Exact multivariate polynomials over the rationals, and the binomial basis.
 
 Coefficients are :class:`fractions.Fraction`, so arithmetic, evaluation and
 interpolation are exact; there is no floating point anywhere in this module.
@@ -7,13 +7,19 @@ Polynomials are immutable values in canonical form: the variable tuple is
 sorted, variables that do not occur are dropped, and zero coefficients are
 never stored.  Two polynomials therefore compare equal exactly when they are
 mathematically equal.
+
+Counting polynomials have integer coefficients in the binomial basis: a
+polynomial in ``n`` taking integer values at the integers is a sum of
+``e_k * C(n, k)`` with integers ``e_k``.  The counting code keeps them as
+those integer tuples, evaluates them with :func:`binomial_value`, and turns
+an answer into a ``MultiPoly`` once, through :meth:`MultiPoly.from_binomial`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as cartesian
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InconsistentEvaluatorError
@@ -80,6 +86,36 @@ class MultiPoly:
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
         return cls((name,), {(1,): Fraction(1)})
+
+    @classmethod
+    def from_binomial(
+        cls, variables: Iterable[str], terms: Mapping[tuple[int, ...], int]
+    ) -> "MultiPoly":
+        """The polynomial sum of ``c * C(x_1, k_1) * ... * C(x_m, k_m)`` over ``terms``.
+
+        ``terms`` maps index tuples ``(k_1, ..., k_m)``, aligned with
+        ``variables``, to integer coefficients.  The change of basis runs one
+        variable at a time in integers: ``C(x, k)`` is ``K!/k!`` times the
+        falling factorial of ``x`` over ``K!``, with ``K`` the variable's
+        largest index, so each coefficient is divided once, at the end.
+        """
+        variables = tuple(variables)
+        for key in terms:
+            if len(key) != len(variables):
+                raise ValueError("index vector length does not match variable count")
+            if any(not isinstance(k, int) or k < 0 for k in key):
+                raise ValueError("binomial indices must be nonnegative integers")
+        scale = 1
+        for i in range(len(variables)):
+            top = max((key[i] for key in terms), default=0)
+            rows = _falling_rows(top)
+            expanded: dict[tuple[int, ...], int] = {}
+            for key, c in terms.items():
+                for j, s in rows[key[i]]:
+                    e = key[:i] + (j,) + key[i + 1:]
+                    expanded[e] = expanded.get(e, 0) + c * s
+            terms, scale = expanded, scale * factorial(top)
+        return cls(variables, {e: Fraction(c, scale) for e, c in terms.items()})
 
     # -- ring structure ----------------------------------------------------
 
@@ -253,6 +289,39 @@ class MultiPoly:
         return cls(tuple(data["vars"]), terms)
 
 
+def _falling_rows(top: int) -> list[list[tuple[int, int]]]:
+    """Row ``k``: the nonzero (power, coefficient) pairs of ``top!/k! * x(x-1)...(x-k+1)``."""
+    falling, rows = [1], []
+    for k in range(top + 1):
+        scale = factorial(top) // factorial(k)
+        rows.append([(j, c * scale) for j, c in enumerate(falling) if c])
+        times_x_minus_k = [0] * (len(falling) + 1)
+        for j, c in enumerate(falling):
+            times_x_minus_k[j + 1] += c
+            times_x_minus_k[j] -= k * c
+        falling = times_x_minus_k
+    return rows
+
+
+def binomial_value(coefficients: Sequence[int], n: int) -> int:
+    """The sum of ``coefficients[k] * C(n, k)``, for an integer ``n >= 0``."""
+    total, binom = 0, 1
+    for k, c in enumerate(coefficients):
+        total += c * binom
+        binom = binom * (n - k) // (k + 1)
+    return total
+
+
+def _multiset_coefficients(k: int) -> tuple[int, ...]:
+    """C(n + k - 1, k), the order-preserving maps of a k-chain into an n-chain, in C(n, j).
+
+    By Vandermonde's identity the coefficient of C(n, j) is C(k - 1, j - 1).
+    """
+    if k == 0:
+        return (1,)
+    return (0,) + tuple(comb(k - 1, j) for j in range(k))
+
+
 def _lagrange_basis(var: str, points: Sequence[int]) -> list[MultiPoly]:
     """The Lagrange basis polynomials for the given distinct integer nodes."""
     x = MultiPoly.variable(var)
@@ -339,8 +408,5 @@ def binomial_order_poly(k: int) -> MultiPoly:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    n = MultiPoly.variable("n")
-    result = MultiPoly.constant(1)
-    for i in range(k):
-        result = result * (n + i)
-    return result * Fraction(1, factorial(k))
+    coefficients = _multiset_coefficients(k)
+    return MultiPoly.from_binomial(("n",), {(j,): c for j, c in enumerate(coefficients)})

@@ -14,17 +14,20 @@ Counting of maps P -> Q works in three regimes:
 - irregular targets fall back to exhaustive backtracking;
 - a chain target combined with a chain source short-circuits to a binomial
   coefficient.
+
+Counting polynomials in the length ``n`` of a chain are kept as integer
+coefficients ``e_k`` in the binomial basis ``C(n, k)`` (Stanley's order
+polynomial: ``e_k`` is the number of order-preserving surjections onto a
+k-chain), so no fraction arises; ``hom_polynomial`` converts at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
 from typing import Iterable, Sequence
 
 from .errors import EnumerationLimitError
-from .polynomials import MultiPoly, binomial_order_poly
+from .polynomials import MultiPoly, _multiset_coefficients, binomial_value
 
 #: Default cap on the number of source elements in down-set enumerations.
 DEFAULT_MAX_SIZE = 20
@@ -434,7 +437,8 @@ def enum_hom(p: Poset, q: Poset, *, max_maps: int = DEFAULT_MAX_MAPS) -> list[Or
 
 # -- counting --------------------------------------------------------------------
 
-_CHAIN_POLY_CACHE: dict[Poset, MultiPoly] = {}
+_CHAIN_COEFFS_CACHE: dict[Poset, tuple[int, ...]] = {}
+_CHAIN_COEFFS_CACHE_ENTRIES = 2_000
 _COUNT_CACHE: dict[tuple[Poset, Poset], tuple[int, int]] = {}
 
 
@@ -467,31 +471,23 @@ def _chain_count_values(p: Poset, n_max: int) -> list[int]:
     return values
 
 
-def _chain_poly(p: Poset) -> MultiPoly:
-    """The polynomial in ``n`` counting hom(p, chain(n)); degree |p|."""
-    cached = _CHAIN_POLY_CACHE.get(p)
+def _chain_coeffs(p: Poset) -> tuple[int, ...]:
+    """|hom(p, chain(n))| as ``e`` with the count ``sum(e[k] * C(n, k))``; ``|p| + 1`` entries."""
+    cached = _CHAIN_COEFFS_CACHE.get(p)
     if cached is not None:
         return cached
-    if p.size == 0:
-        poly = MultiPoly.constant(1)
-    elif p.is_chain():
-        poly = binomial_order_poly(p.size)
+    if p.size == 0 or p.is_chain():
+        coeffs = _multiset_coefficients(p.size)
     else:
-        # Newton's forward differences at 0 against the basis C(n, j)
-        values = _chain_count_values(p, p.size)
-        poly, falling, n = MultiPoly.zero(), MultiPoly.constant(1), MultiPoly.variable("n")
-        for j in range(p.size + 1):
-            poly = poly + Fraction(values[0], factorial(j)) * falling
+        # Newton's forward differences at 0 are the coefficients of C(n, k)
+        values, coeffs = _chain_count_values(p, p.size), []
+        for _ in range(p.size + 1):
+            coeffs.append(values[0])
             values = [b - a for a, b in zip(values, values[1:])]
-            falling = falling * (n - j)
-    _CHAIN_POLY_CACHE[p] = poly
-    return poly
-
-
-def _count_into_chain(p: Poset, n: int) -> int:
-    value = _chain_poly(p).evaluate({"n": n})
-    assert value.denominator == 1
-    return int(value)
+        coeffs = tuple(coeffs)
+    if len(_CHAIN_COEFFS_CACHE) < _CHAIN_COEFFS_CACHE_ENTRIES:
+        _CHAIN_COEFFS_CACHE[p] = coeffs
+    return coeffs
 
 
 _PEEL_CACHE: dict[Poset, tuple[Poset, int]] = {}
@@ -567,7 +563,7 @@ def _count_entry(p: Poset, q: Poset, max_steps: int | None) -> tuple[int, int]:
         q0, tail = _peel_chain_tail(q)
         steps = 0
         if not q0.size:
-            result = _count_into_chain(p, tail)
+            result = binomial_value(_chain_coeffs(p), tail)
         elif tail == 0:
             result, steps = _backtrack_count(p, q, max_steps)
         else:
@@ -577,7 +573,8 @@ def _count_entry(p: Poset, q: Poset, max_steps: int | None) -> tuple[int, int]:
                 lower, sub = _count_entry(_sub_from_mask(p, mask), q0, max_steps)
                 steps = max(steps, sub)
                 if lower:
-                    result += lower * _count_into_chain(_sub_from_mask(p, full & ~mask), tail)
+                    upper = _chain_coeffs(_sub_from_mask(p, full & ~mask))
+                    result += lower * binomial_value(upper, tail)
         cached = _COUNT_CACHE[key] = (result, steps)
     if max_steps is not None and cached[1] > max_steps:
         raise EnumerationLimitError(f"map counting exceeded {max_steps} steps")
@@ -597,28 +594,42 @@ def count_hom(p: Poset, q: Poset, *, max_steps: int | None = None) -> int:
     return _count_entry(p, q, max_steps)[0]
 
 
-def hom_polynomial(
+def hom_coefficients(
     p: Poset, q: Poset, *, max_size: int = DEFAULT_MAX_SIZE, max_steps: int | None = None
-) -> MultiPoly:
-    """The polynomial H(n) = |hom(p, q ⊕ chain(n))|, exact in ``n``.
+) -> tuple[int, ...]:
+    """H(n) = |hom(p, q ⊕ chain(n))| as integers ``e`` with H(n) = sum of ``e[k] * C(n, k)``.
 
     Splitting each map at the chain gives
     H(n) = sum over down-sets D of p of |hom(D, q)| * (chain polynomial of p \\ D),
-    which has degree exactly |p| for nonempty p.
+    so the coefficient vectors of the chain polynomials add up with integer
+    weights.  There are ``|p| + 1`` entries; H has degree exactly |p| for
+    nonempty p.
     """
     if p.size > max_size:
         raise EnumerationLimitError(
             f"hom polynomial limited to {max_size} source elements, poset has {p.size}"
         )
     if not q.size:  # every map lands in the chain
-        return _chain_poly(p)
+        return _chain_coeffs(p)
     full = (1 << p.size) - 1
-    result = MultiPoly.zero()
+    total = [0] * (p.size + 1)
     for mask in _down_set_masks(p):
         lower = count_hom(_sub_from_mask(p, mask), q, max_steps=max_steps)
         if lower:
-            result = result + lower * _chain_poly(_sub_from_mask(p, full & ~mask))
-    return result
+            for k, e in enumerate(_chain_coeffs(_sub_from_mask(p, full & ~mask))):
+                total[k] += lower * e
+    return tuple(total)
+
+
+def hom_polynomial(
+    p: Poset, q: Poset, *, max_size: int = DEFAULT_MAX_SIZE, max_steps: int | None = None
+) -> MultiPoly:
+    """The polynomial H(n) = |hom(p, q ⊕ chain(n))|, exact in ``n``.
+
+    The coefficients of :func:`hom_coefficients`, in the monomial basis.
+    """
+    e = hom_coefficients(p, q, max_size=max_size, max_steps=max_steps)
+    return MultiPoly.from_binomial(("n",), {(k,): c for k, c in enumerate(e)})
 
 
 # -- isomorphism testing (used by structural assertions and tests) ----------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_fresh
 from semistar.cli import main
 
 FEX = {
@@ -219,6 +220,36 @@ def test_max_maps_env(fex_path):
         env=env,
     )
     assert proc.returncode == 0
+
+
+def test_max_maps_env_is_read_on_every_call(fex_path, monkeypatch, capsys):
+    # the parser is built once per process; the environment is not frozen in it
+    from semistar import engine
+
+    monkeypatch.setattr(engine, "_BRANCH_CACHE", {})
+    monkeypatch.setenv("SEMISTAR_MAX_MAPS", "1")
+    assert main(["count", fex_path]) == 2
+    monkeypatch.delenv("SEMISTAR_MAX_MAPS")
+    assert main(["count", fex_path]) == 0
+    monkeypatch.setattr(engine, "_BRANCH_CACHE", {})  # a cached branch term skips max_maps
+    monkeypatch.setenv("SEMISTAR_MAX_MAPS", "1")
+    assert main(["count", fex_path]) == 2
+    assert main(["count", fex_path, "--max-maps", "100"]) == 0
+    assert "exceeded 1 steps" in capsys.readouterr().err
+
+
+def test_poly_calls_in_one_process_match_fresh_runs(fex_path, capsys):
+    calls = [
+        ["poly", fex_path, "--semistar", "--var", "P", "--var", "N"],
+        ["poly", fex_path, "--smstar", "--var", "N", "--eps-var", "N"],
+        ["poly", fex_path, "--semistar", "--var", "N", "--format", "json"],
+        ["poly", fex_path, "--smstar", "--var", "P"],
+    ]
+    in_process = [run(capsys, *argv) for argv in calls]
+    for argv, (code, out, err) in zip(calls, in_process):
+        fresh = run_fresh(f"import sys\nfrom semistar.cli import main\nsys.exit(main({argv!r}))")
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert code == 0
 
 
 def test_missing_file_exit_3(capsys):

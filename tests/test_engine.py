@@ -223,6 +223,12 @@ def test_single_branch_identities():
         assert count_smstar(t) == count_star(t)
 
 
+def _tildhom(component, d_index, branch):
+    """``tildhom_count`` as a polynomial in ``n``, from its coefficients in C(n, k)."""
+    e = tildhom_count(component, d_index, branch)
+    return MultiPoly.from_binomial(("n",), {(k,): c for k, c in enumerate(e)})
+
+
 def test_tildhom_examples():
     for n in range(1, 6):
         for e in (1, 2):
@@ -232,11 +238,11 @@ def test_tildhom_examples():
             two = Support(2, frozenset({0, 0b11, 0b01}))
             comp, d = two.component_poset(0)
             # 2-chain component with the domain at the bottom
-            poly = tildhom_count(comp, d, leaf)
+            poly = _tildhom(comp, d, leaf)
             assert poly.evaluate({"n": n}) == e * n - e + 1
             one = Support(2, frozenset({0, 0b11}))
             comp1, d1 = one.component_poset(0)
-            assert tildhom_count(comp1, d1, leaf) == MultiPoly.constant(e)
+            assert _tildhom(comp1, d1, leaf) == MultiPoly.constant(e)
 
 
 def test_tildhom_fully_flagged_is_plain_count():
@@ -245,8 +251,8 @@ def test_tildhom_fully_flagged_is_plain_count():
     f = fstar_poset(leaf)
     two = Support(2, frozenset({0, 0b11, 0b01}))
     comp, d = two.component_poset(0)
-    assert tildhom_count(comp, d, leaf).evaluate({"n": 2}) == count_hom(comp, f.poset)
-    assert tildhom_count(comp, None, leaf).evaluate({"n": 2}) == count_hom(comp, f.poset)
+    assert _tildhom(comp, d, leaf).evaluate({"n": 2}) == count_hom(comp, f.poset)
+    assert _tildhom(comp, None, leaf).evaluate({"n": 2}) == count_hom(comp, f.poset)
 
 
 def test_tildhom_matches_map_enumeration():
@@ -263,10 +269,34 @@ def test_tildhom_matches_map_enumeration():
                     continue
                 maps = enum_hom(comp, f.poset)
                 omega = {"n": t.omega(child)}
-                assert tildhom_count(comp, None, branch).evaluate(omega) == len(maps)
+                assert _tildhom(comp, None, branch).evaluate(omega) == len(maps)
                 if d is not None:
                     starred = sum(1 for m in maps if m.image[d] in f.ring_closing)
-                    assert tildhom_count(comp, d, branch).evaluate(omega) == starred
+                    assert _tildhom(comp, d, branch).evaluate(omega) == starred
+
+
+def test_counts_build_no_polynomial():
+    # counts stay in integers: no MultiPoly from the first call on, cold caches
+    script = (
+        "import sys; sys.path.insert(0, 'tests')\n"
+        "from conftest import final_example, h_local\n"
+        "from semistar import MultiPoly, count_report\n"
+        "built, init = [], MultiPoly.__init__\n"
+        "def counted(self, *args):\n"
+        "    built.append(args)\n"
+        "    init(self, *args)\n"
+        "MultiPoly.__init__ = counted\n"
+        "print(count_report(final_example(1, 1)))\n"
+        "print(count_report(h_local([2, 1, 3, 2], [2, 1, 1, 2])))\n"
+        "print(len(built))\n"
+    )
+    fresh = run_fresh(script)
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout.splitlines() == [
+        "{'semistar': 67, 'fstar': 7, 'smstar': 42, 'star': 4}",
+        "{'semistar': 12055198, 'fstar': 12, 'smstar': 9955465, 'star': 4}",
+        "0",
+    ]
 
 
 def test_fstar_product_cardinalities():

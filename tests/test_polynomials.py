@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,40 @@ def test_binomial_order_polys():
 def test_binomial_matches_hom_polynomial():
     for k in range(1, 6):
         assert binomial_order_poly(k) == hom_polynomial(chain(k), chain(0))
+
+
+def test_from_binomial_matches_products_of_linear_factors():
+    n = var("n")
+    for k in range(7):
+        falling = rising = MultiPoly.constant(Fraction(1, factorial(k)))
+        for i in range(k):
+            falling, rising = falling * (n - i), rising * (n + i)
+        assert MultiPoly.from_binomial(("n",), {(k,): 1}) == falling  # C(n, k)
+        if k:
+            assert binomial_order_poly(k) == rising  # C(n + k - 1, k)
+    assert MultiPoly.from_binomial(("a", "b"), {}) == MultiPoly.zero()
+    assert MultiPoly.from_binomial((), {(): 5}) == MultiPoly.constant(5)
+    with pytest.raises(ValueError):
+        MultiPoly.from_binomial(("n",), {(1, 2): 3})
+    with pytest.raises(ValueError):
+        MultiPoly.from_binomial(("n",), {(-1,): 3})
+
+
+@st.composite
+def binomial_terms(draw):
+    keys = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    return draw(st.dictionaries(keys, st.integers(-20, 20), max_size=6))
+
+
+@given(binomial_terms())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_from_binomial_matches_interpolation(terms):
+    def value(point):
+        x, y = point["x"], point["y"]
+        return sum(c * comb(x, i) * comb(y, j) for (i, j), c in terms.items())
+
+    bounds = {v: max((key[i] for key in terms), default=0) for i, v in enumerate("xy")}
+    assert MultiPoly.from_binomial(("x", "y"), terms) == interpolate(value, bounds)
 
 
 def test_text_rendering():

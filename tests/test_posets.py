@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import random_poset, run_fresh
 from semistar import (
     EnumerationLimitError,
+    MultiPoly,
     OrderMap,
     Poset,
     antichain,
@@ -17,11 +18,14 @@ from semistar import (
     down_sets,
     enum_hom,
     hom_polynomial,
+    interpolate,
     ordinal_sum,
     product,
     subposet,
 )
+from semistar import posets as posets_module
 from semistar.oracle import brute_count_hom
+from semistar.posets import _chain_coeffs, hom_coefficients
 
 posets = st.integers(0, 10_000).map(lambda seed: random_poset(random.Random(seed)))
 
@@ -237,6 +241,53 @@ def test_hom_polynomial_matches_direct_counts(p, q):
         assert poly.degree() == p.size
     for n in range(p.size + 3):
         assert poly.evaluate({"n": n}) == count_hom(p, ordinal_sum(q, chain(n)))
+
+
+@given(posets, posets)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_hom_polynomial_is_its_binomial_coefficients(p, q):
+    e = hom_coefficients(p, q)
+    assert len(e) == p.size + 1
+    poly = hom_polynomial(p, q)
+    assert poly == MultiPoly.from_binomial(("n",), {(k,): c for k, c in enumerate(e)})
+
+    def maps(point):
+        return len(enum_hom(p, ordinal_sum(q, chain(point["n"]))))
+
+    assert poly == interpolate(maps, {"n": p.size})
+
+
+@given(posets)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_chain_coefficients_count_surjections(p):
+    # Stanley, EC1 3.12: Omega(p, n) = sum of e_s C(n, s), e_s the surjections onto an s-chain
+    e = _chain_coeffs(p)
+    assert len(e) == p.size + 1
+    for s, coefficient in enumerate(e):
+        onto = sum(1 for g in enum_hom(p, chain(s)) if len(set(g.image)) == s)
+        assert coefficient == onto
+
+
+def test_answers_unchanged_past_the_chain_coefficient_cap(monkeypatch):
+    sources = [random_poset(random.Random(seed), max_size=6) for seed in range(30)]
+    sources += [chain(k) for k in range(5)]
+
+    def answers():
+        return [
+            (_chain_coeffs(p), count_hom(p, chain(3)), hom_polynomial(p, antichain(2)))
+            for p in sources
+        ]
+
+    for name in ("_CHAIN_COEFFS_CACHE", "_COUNT_CACHE"):
+        monkeypatch.setattr(posets_module, name, {})
+    uncapped = answers()
+    monkeypatch.setattr(posets_module, "_CHAIN_COEFFS_CACHE_ENTRIES", 4)
+    for name in ("_CHAIN_COEFFS_CACHE", "_COUNT_CACHE"):
+        monkeypatch.setattr(posets_module, name, {})
+    for _ in range(2):
+        assert answers() == uncapped
+        assert len(posets_module._CHAIN_COEFFS_CACHE) == 4
+    assert [a[1] for a in uncapped] == [len(enum_hom(p, chain(3))) for p in sources]
 
 
 def test_subposet_and_covers():

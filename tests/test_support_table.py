@@ -2,9 +2,13 @@
 
 The reference below walks every support and every branch, takes each
 branch factor from the support's own component poset, and groups supports
-by their symbolic components.  Patched in for ``engine._support_sum``, it
-gives the reference answers of all four public entry points; the engine's
-table-driven sum must give the same integers and polynomials.
+by their symbolic components.  It reads each factor as a ``MultiPoly``
+(``tildhom_count`` through ``MultiPoly.from_binomial``) and expands the
+groups in the monomial basis, so it also checks the engine's change of
+basis, which expands in binomial indices and converts once.  Patched in for
+``engine._support_sum``, it gives the reference answers of all four public
+entry points; the engine's table-driven sum must give the same integers and
+polynomials.
 """
 
 import random
@@ -31,9 +35,21 @@ from semistar import engine
 from semistar.spectrum import enumerate_supports, support_table
 
 
+_FACTORS = {}  # (branch tree, component, domain index) -> (polynomial in n, value at omega)
+
+
 def _per_support_sum(t, closing, symbolic, limits):
     records = engine._branches(t, limits)
     names = [symbolic.get(record.child) for record in records]
+
+    def branch_factor(i, component, d_index):
+        key = (records[i].tree, component, d_index)
+        if key not in _FACTORS:
+            e = engine.tildhom_count(component, d_index, records[i].tree, limits)
+            poly = MultiPoly.from_binomial(("n",), {(k,): c for k, c in enumerate(e)})
+            _FACTORS[key] = poly, poly.evaluate({"n": records[i].omega})
+        return _FACTORS[key]
+
     groups = {}
     for support in enumerate_supports(len(records), max_branches=limits.max_branches):
         if closing and not support.contains_domain():
@@ -46,7 +62,7 @@ def _per_support_sum(t, closing, symbolic, limits):
             if names[i] is not None:
                 key.append((i, component, d_index))
             elif component.size:
-                factor *= engine._term(record, component, d_index, False, limits)
+                factor *= branch_factor(i, component, d_index)[1]
         key = tuple(key)
         groups[key] = groups.get(key, 0) + factor
     if not any(names):
@@ -57,7 +73,7 @@ def _per_support_sum(t, closing, symbolic, limits):
         for i, component, d_index in key:
             pieces = [(0, 1)]
             if component.size:
-                poly = engine._term(records[i], component, d_index, True, limits)
+                poly, _ = branch_factor(i, component, d_index)
                 pieces = [(f[0] if f else 0, a) for f, a in poly.terms.items()]
             term = {e + (k,): c * a for e, c in term.items() for k, a in pieces}
         for e, c in term.items():
