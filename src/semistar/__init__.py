@@ -9,8 +9,13 @@ Two exports are cross-checks rather than counting paths: ``interpolate``
 recovers a polynomial from its values and ``semistar_element_counts`` counts
 by enumerating every operation.  The tests hold the counts and polynomials
 against them; nothing in the counting code calls them.
+
+Results are memoized in one bounded registry, keyed by everything they
+depend on, limits included: ``clear_caches`` empties it and ``cache_info``
+reports the hits, misses and size of each memo.
 """
 
+from ._memo import cache_info, clear_caches
 from .errors import (
     EnumerationLimitError,
     InconsistentEvaluatorError,
@@ -93,7 +98,9 @@ __all__ = [
     "binomial_order_poly",
     "branch_subtree",
     "build_tree",
+    "cache_info",
     "chain",
+    "clear_caches",
     "count_fstar",
     "count_hom",
     "count_report",

@@ -12,6 +12,7 @@ import os
 import sys
 
 from . import engine, oracle
+from ._memo import memo
 from .errors import EnumerationLimitError, SpectrumValidationError, UnknownNodeError
 from .spectrum import skeleton, standard_decomposition, validate_tree
 
@@ -69,15 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER = None
-
-
+@memo
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on first use; ``parse_args`` leaves it unchanged."""
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    return _PARSER
+    return build_parser()
 
 
 def _limits(args) -> engine.Limits:

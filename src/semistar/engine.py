@@ -43,6 +43,7 @@ from itertools import product as cartesian
 from math import prod
 from typing import Mapping, Sequence
 
+from ._memo import memo
 from .errors import EnumerationLimitError
 from .polynomials import MultiPoly, binomial_value
 from .posets import (
@@ -161,46 +162,38 @@ def _check_size(size: int, limits: Limits, what: str = "semistar poset"):
 
 
 class _Branch:
-    """A root-child branch as ``(base, flags, omega)``; built parts fill in on use."""
+    """A root-child branch as ``(base, flags, omega)``, one record per branch and limits.
+
+    Only the sizes are counted here; the base is built by :func:`_base` when
+    a count needs its order.  Records hash by identity, so the memos keyed
+    by them never compare trees.
+    """
 
     def __init__(self, branch: SpectrumTree, limits: Limits):
         child = standard_decomposition(branch)[0]
         self.tree, self.child, self.omega = branch, child, branch.omega(child)
-        self.fstar, self.terms = None, {}
         if branch.is_leaf(child):
-            self.quotient = None
-            self.base, self.base_size = Poset(()), 0
+            self.quotient, self.base_size = None, 0
             self.flag_count = branch.epsilon(child)
-            self.flags = frozenset(range(self.flag_count))
         else:
             self.quotient = quotient_subtree(branch, child)
-            self.base = self.flags = None
             self.base_size = count_semistar(self.quotient, limits) - 1
             self.flag_count = count_smstar(self.quotient, limits)
 
 
-_BRANCH_CACHE: dict[SpectrumTree, _Branch] = {}
-
-
-def _branches(t: SpectrumTree, limits: Limits) -> list[_Branch]:
-    # every node is checked here, so the limit does not depend on which
-    # branch records are already cached
+@memo
+def _branches(t: SpectrumTree, limits: Limits) -> tuple[_Branch, ...]:
     for node in t.nodes:
         width = len(t.children(node.id))
         if width > limits.max_branches:
             raise EnumerationLimitError(
                 f"node {node.id!r} has {width} branches, limit is {limits.max_branches}"
             )
-    records, ids = [], standard_decomposition(t)
-    for child in ids:
-        branch = t if len(ids) == 1 else branch_subtree(t, child)
-        record = _BRANCH_CACHE.get(branch)
-        if record is None:
-            record = _Branch(branch, limits)
-            if len(_BRANCH_CACHE) < 10_000:
-                _BRANCH_CACHE[branch] = record
-        records.append(record)
-    return records
+    ids = standard_decomposition(t)
+    if len(ids) == 1:
+        return (_Branch(t, limits),)
+    # through the one-branch entries, so trees sharing a branch share its record
+    return tuple(_branches(branch_subtree(t, child), limits)[0] for child in ids)
 
 
 def _single_branch(branch: SpectrumTree, limits: Limits) -> _Branch:
@@ -209,18 +202,18 @@ def _single_branch(branch: SpectrumTree, limits: Limits) -> _Branch:
     return _branches(branch, limits)[0]
 
 
+@memo
 def _base(record: _Branch, limits: Limits) -> tuple[Poset, frozenset[int]]:
-    """The base poset and its flags, built from the quotient on first use."""
-    if record.quotient is not None:
-        _check_size(record.base_size + 1, limits, f"semistar poset of quotient {record.child!r}")
-    if record.base is None:
-        sp = semistar_poset(record.quotient, limits)
-        top = sp.poset.unique_max()
-        assert top is not None and sp.elements[top].support.masks == frozenset({0})
-        assert top not in sp.ring_closing
-        record.base = subposet(sp.poset, (i for i in range(sp.size) if i != top))
-        record.flags = frozenset(i if i < top else i - 1 for i in sp.ring_closing)
-    return record.base, record.flags
+    """The base poset and its flags: the quotient's semistar poset minus its top."""
+    if record.quotient is None:
+        return Poset(()), frozenset(range(record.flag_count))
+    _check_size(record.base_size + 1, limits, f"semistar poset of quotient {record.child!r}")
+    sp = semistar_poset(record.quotient, limits)
+    top = sp.poset.unique_max()
+    assert top is not None and sp.elements[top].support.masks == frozenset({0})
+    assert top not in sp.ring_closing
+    base = subposet(sp.poset, (i for i in range(sp.size) if i != top))
+    return base, frozenset(i if i < top else i - 1 for i in sp.ring_closing)
 
 
 def fstar_poset(branch: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> FlaggedPoset:
@@ -229,15 +222,17 @@ def fstar_poset(branch: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> Flagge
     The branch's base with a chain of length ``omega`` stacked above: a chain
     with the bottom ``epsilon`` elements starred for a leaf child, else the
     quotient's semistar poset minus its top, starred where its operations
-    close the ring.  The size is checked on every call, before any building.
+    close the ring.  The size is checked before any building.
     """
-    record = _single_branch(branch, limits)
+    return _fstar(_single_branch(branch, limits), limits)
+
+
+@memo
+def _fstar(record: _Branch, limits: Limits) -> FlaggedPoset:
     what = f"fractional-star poset of branch {record.child!r}"
     _check_size(record.base_size + record.omega, limits, what)
-    if record.fstar is None:
-        base, flags = _base(record, limits)
-        record.fstar = FlaggedPoset(ordinal_sum(base, chain(record.omega)), flags)
-    return record.fstar
+    base, flags = _base(record, limits)
+    return FlaggedPoset(ordinal_sum(base, chain(record.omega)), flags)
 
 
 def _branch_fstars(t: SpectrumTree, limits: Limits) -> list[FlaggedPoset]:
@@ -290,7 +285,7 @@ def tildhom_count(
         raise ValueError("the designated domain element must be the component minimum")
     rest = subposet(component, (i for i in range(component.size) if i != d_index))
     if record.quotient is None:
-        h = hom_coefficients(rest, record.base)
+        h = hom_coefficients(rest, _base(record, limits)[0])
         return h if record.flag_count == 1 else tuple(a + b for a, b in zip(h, _shifted(h)))
     if not rest.size:
         return (record.flag_count,)
@@ -305,22 +300,13 @@ def tildhom_count(
     return tuple(total)
 
 
+@memo
 def _term(
     record: _Branch, component: Poset, d_index: int | None, symbolic: bool, limits: Limits
 ) -> int | tuple[int, ...]:
     """One branch's factor for one support: coefficients in C(n, k), or their value at ``omega``."""
-    if component.size > 1 and record.quotient is not None:
-        _base(record, limits)  # checks the limit whether or not the term is cached
-    key = (component, d_index, symbolic)
-    term = record.terms.get(key)
-    if term is None:
-        if symbolic:
-            term = tildhom_count(component, d_index, record.tree, limits)
-        else:
-            coefficients = _term(record, component, d_index, True, limits)
-            term = binomial_value(coefficients, record.omega)
-        record.terms[key] = term
-    return term
+    coefficients = tildhom_count(component, d_index, record.tree, limits)
+    return coefficients if symbolic else binomial_value(coefficients, record.omega)
 
 
 def _by_index(term: int | tuple[int, ...]) -> list[tuple[int, int]]:
@@ -451,20 +437,16 @@ class _Block:
     They are the cartesian product of the branch map lists, each sorted by
     image (``[None]`` for a branch the support misses), so an element's index
     in the block is mixed-radix in its map indices, branch 0 the most
-    significant digit.
+    significant digit.  ``map_list(i, component)`` gives the sorted list of
+    branch ``i``.
     """
 
-    def __init__(self, support: Support, fstars: list[FlaggedPoset], offset: int, limits: Limits):
+    def __init__(self, support: Support, fstars: list[FlaggedPoset], offset: int, map_list):
         self.support, self.fstars, self.offset = support, fstars, offset
         self.comps, self.lists = [], []
-        for i, fstar in enumerate(fstars):
-            poset, _ = support.component_poset(i)
-            maps = [None]
-            if poset.size:
-                maps = enum_hom(poset, fstar.poset, max_maps=limits.max_maps)
-                maps.sort(key=lambda g: g.image)
+        for i in range(len(fstars)):
             self.comps.append({mask: k for k, mask in enumerate(support.component(i))})
-            self.lists.append(maps)
+            self.lists.append(map_list(i, support.component_poset(i)[0]))
         sizes = [len(maps) for maps in self.lists]
         self.size = prod(sizes)
         self.strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
@@ -520,9 +502,6 @@ class _Block:
         return rows
 
 
-_SEMISTAR_POSET_CACHE: dict[SpectrumTree, "SemistarPoset"] = {}
-
-
 def semistar_poset(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> SemistarPoset:
     """Materialize the ordered set of semistar operations, flags included.
 
@@ -534,11 +513,11 @@ def semistar_poset(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> Semistar
     support, so the order is built one block of elements at a time from
     per-branch bitmasks, with no pairwise comparison.
     """
-    cached = _SEMISTAR_POSET_CACHE.get(t)
-    if cached is not None:
-        _check_size(cached.size, limits)
-        return cached
+    return _semistar_poset(t, limits)
 
+
+@memo
+def _semistar_poset(t: SpectrumTree, limits: Limits) -> SemistarPoset:
     branch_ids = standard_decomposition(t)
     if len(t.nodes) == 1:
         element = SemistarElement(Support(0, frozenset({0})), ())
@@ -546,10 +525,21 @@ def semistar_poset(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> Semistar
 
     _check_size(count_semistar(t, limits), limits)
     fstars = _branch_fstars(t, limits)
+    shared = {}  # the map lists of this build, which many blocks share
+
+    def map_list(i: int, component: Poset) -> list:
+        """The maps of a component into branch ``i``, sorted by image; ``[None]`` if empty."""
+        if not component.size:
+            return [None]
+        if (i, component) not in shared:
+            found = enum_hom(component, fstars[i].poset, max_maps=limits.max_maps)
+            shared[i, component] = sorted(found, key=lambda g: g.image)
+        return shared[i, component]
+
     supports = enumerate_supports(len(fstars), max_branches=limits.max_branches)
     blocks, elements, flags = [], [], set()
     for support in sorted(supports, key=Support.sort_key):
-        block = _Block(support, fstars, len(elements), limits)
+        block = _Block(support, fstars, len(elements), map_list)
         blocks.append(block)
         closing = support.contains_domain()  # then the domain is entry 0 of every map
         for maps in cartesian(*block.lists):
@@ -572,10 +562,7 @@ def semistar_poset(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> Semistar
     poset = Poset._unchecked(up, down)
     top = poset.unique_max()
     assert top is not None and elements[top].support.masks == frozenset({0})
-    result = SemistarPoset(FlaggedPoset(poset, frozenset(flags)), tuple(elements), branch_ids)
-    if len(_SEMISTAR_POSET_CACHE) < 1000:
-        _SEMISTAR_POSET_CACHE[t] = result
-    return result
+    return SemistarPoset(FlaggedPoset(poset, frozenset(flags)), tuple(elements), branch_ids)
 
 
 def fstar_product(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> FlaggedPoset:

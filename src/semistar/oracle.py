@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from itertools import product as cartesian
 
+from ._memo import memo
 from .errors import EnumerationLimitError
 from .posets import Poset, chain, ordinal_sum, subposet
 from .spectrum import (
@@ -107,9 +108,7 @@ def _check_tree_bounds(t: SpectrumTree):
         raise EnumerationLimitError(f"brute search limited to {MAX_BRANCHES} branches")
 
 
-_SEMISTAR_POSET_CACHE: dict[SpectrumTree, tuple[Poset, set[int]]] = {}
-
-
+@memo
 def _brute_semistar_poset(t: SpectrumTree):
     """(poset, flag set) of all semistar operations, everything enumerated.
 
@@ -119,10 +118,7 @@ def _brute_semistar_poset(t: SpectrumTree):
     send it to a starred target element.
     """
     if len(t.nodes) == 1:
-        return chain(1), {0}
-    cached = _SEMISTAR_POSET_CACHE.get(t)
-    if cached is not None:
-        return cached
+        return chain(1), frozenset({0})
     branch_ids = standard_decomposition(t)
     m = len(branch_ids)
     full = (1 << m) - 1
@@ -158,41 +154,29 @@ def _brute_semistar_poset(t: SpectrumTree):
         if below(e1, e2)
     ]
     poset = Poset.from_relation(len(elements), pairs)
-    flags = {
+    flags = frozenset(
         k
         for k, (family, combo) in enumerate(elements)
         if full in family
         and all(combo[i][full] in fstars[i][1] for i in range(m))
-    }
-    if len(_SEMISTAR_POSET_CACHE) < 1000:
-        _SEMISTAR_POSET_CACHE[t] = (poset, flags)
+    )
     return poset, flags
 
 
-_FSTAR_CACHE: dict[SpectrumTree, tuple[Poset, set[int]]] = {}
-
-
+@memo
 def _brute_fstar(branch: SpectrumTree):
     """(poset, flag set) of the fractional-star operations of one branch."""
-    cached = _FSTAR_CACHE.get(branch)
-    if cached is not None:
-        return cached
     (child,) = standard_decomposition(branch)
     omega = branch.omega(child)
     if branch.is_leaf(child):
-        result = chain(omega), set(range(branch.epsilon(child)))
-    else:
-        sub_poset, sub_flags = _brute_semistar_poset(quotient_subtree(branch, child))
-        top = sub_poset.unique_max()
-        if top is None or top in sub_flags:
-            raise AssertionError("quotient semistar poset lost its all-to-field maximum")
-        keep = [i for i in range(sub_poset.size) if i != top]
-        base = subposet(sub_poset, keep)
-        flags = {keep.index(i) for i in sub_flags}
-        result = ordinal_sum(base, chain(omega)), flags
-    if len(_FSTAR_CACHE) < 10_000:
-        _FSTAR_CACHE[branch] = result
-    return result
+        return chain(omega), frozenset(range(branch.epsilon(child)))
+    sub_poset, sub_flags = _brute_semistar_poset(quotient_subtree(branch, child))
+    top = sub_poset.unique_max()
+    if top is None or top in sub_flags:
+        raise AssertionError("quotient semistar poset lost its all-to-field maximum")
+    keep = [i for i in range(sub_poset.size) if i != top]
+    flags = frozenset(keep.index(i) for i in sub_flags)
+    return ordinal_sum(subposet(sub_poset, keep), chain(omega)), flags
 
 
 def brute_semistar_count(t: SpectrumTree) -> tuple[int, int]:

@@ -8,12 +8,12 @@ can be shared freely across threads.
 
 Counting of maps P -> Q works in three regimes:
 
-- targets that are chains (or have a chain stacked on top of an arbitrary
-  base) are handled by a dynamic program over the down-sets of P, with the
-  chain part evaluated through its counting polynomial;
-- irregular targets fall back to exhaustive backtracking;
-- a chain target combined with a chain source short-circuits to a binomial
-  coefficient.
+- a chain target: the order polynomial of P evaluated at the chain length
+  (its integer coefficients in the binomial basis are closed-form for a
+  chain P, else from a dynamic program over the down-sets of P);
+- a chain stacked on top of a base, Q = Q0 ⊕ chain(k): the hom coefficients
+  of (P, Q0), a sum over the down-sets of P, evaluated at k;
+- any other target: exhaustive backtracking, bounded by ``max_steps``.
 
 Counting polynomials in the length ``n`` of a chain are kept as integer
 coefficients ``e_k`` in the binomial basis ``C(n, k)`` (Stanley's order
@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._memo import memo
 from .errors import EnumerationLimitError
 from .polynomials import MultiPoly, _multiset_coefficients, binomial_value
 
@@ -301,14 +302,9 @@ def _sub_from_mask(p: Poset, mask: int) -> Poset:
 
 # -- down-sets -------------------------------------------------------------------
 
-_DOWN_SET_CACHE: dict[Poset, tuple[int, ...]] = {}
-
-
+@memo
 def _down_set_masks(p: Poset) -> tuple[int, ...]:
     """All down-set bitmasks of ``p``, ascending."""
-    cached = _DOWN_SET_CACHE.get(p)
-    if cached is not None:
-        return cached
     strict_down = [p.down_mask(i) ^ (1 << i) for i in range(p.size)]
     seen = {0}
     frontier = [0]
@@ -320,9 +316,7 @@ def _down_set_masks(p: Poset) -> tuple[int, ...]:
                 if t not in seen:
                     seen.add(t)
                     frontier.append(t)
-    result = tuple(sorted(seen))
-    _DOWN_SET_CACHE[p] = result
-    return result
+    return tuple(sorted(seen))
 
 
 def down_sets(p: Poset, *, max_size: int = DEFAULT_MAX_SIZE) -> list[frozenset[int]]:
@@ -390,11 +384,6 @@ def _linear_extension(p: Poset) -> list[int]:
     return order
 
 
-_ENUM_HOM_CACHE: dict[tuple[Poset, Poset], tuple[OrderMap, ...]] = {}
-_ENUM_HOM_CACHE_MAX = 20_000  # maps per entry
-_ENUM_HOM_CACHE_ENTRIES = 2_000
-
-
 def enum_hom(p: Poset, q: Poset, *, max_maps: int = DEFAULT_MAX_MAPS) -> list[OrderMap]:
     """All order-preserving maps p -> q, in a fixed deterministic order.
 
@@ -402,11 +391,6 @@ def enum_hom(p: Poset, q: Poset, *, max_maps: int = DEFAULT_MAX_MAPS) -> list[Or
     up-sets of the images of the predecessors, so each produced map is
     order-preserving by construction.
     """
-    cached = _ENUM_HOM_CACHE.get((p, q))
-    if cached is not None:
-        if len(cached) > max_maps:
-            raise EnumerationLimitError(f"more than {max_maps} maps")
-        return list(cached)
     ext = _linear_extension(p)
     preds = [
         [y for y in ext[:k] if p.lt(y, x)] for k, x in enumerate(ext)
@@ -430,17 +414,10 @@ def enum_hom(p: Poset, q: Poset, *, max_maps: int = DEFAULT_MAX_MAPS) -> list[Or
             assign(k + 1)
 
     assign(0)
-    if len(out) <= _ENUM_HOM_CACHE_MAX and len(_ENUM_HOM_CACHE) < _ENUM_HOM_CACHE_ENTRIES:
-        _ENUM_HOM_CACHE[(p, q)] = tuple(out)
     return out
 
 
 # -- counting --------------------------------------------------------------------
-
-_CHAIN_COEFFS_CACHE: dict[Poset, tuple[int, ...]] = {}
-_CHAIN_COEFFS_CACHE_ENTRIES = 2_000
-_COUNT_CACHE: dict[tuple[Poset, Poset], tuple[int, int]] = {}
-
 
 def _chain_count_values(p: Poset, n_max: int) -> list[int]:
     """|hom(p, chain(n))| for n = 0..n_max, by a down-set dynamic program.
@@ -471,56 +448,33 @@ def _chain_count_values(p: Poset, n_max: int) -> list[int]:
     return values
 
 
+@memo
 def _chain_coeffs(p: Poset) -> tuple[int, ...]:
     """|hom(p, chain(n))| as ``e`` with the count ``sum(e[k] * C(n, k))``; ``|p| + 1`` entries."""
-    cached = _CHAIN_COEFFS_CACHE.get(p)
-    if cached is not None:
-        return cached
     if p.size == 0 or p.is_chain():
-        coeffs = _multiset_coefficients(p.size)
-    else:
-        # Newton's forward differences at 0 are the coefficients of C(n, k)
-        values, coeffs = _chain_count_values(p, p.size), []
-        for _ in range(p.size + 1):
-            coeffs.append(values[0])
-            values = [b - a for a, b in zip(values, values[1:])]
-        coeffs = tuple(coeffs)
-    if len(_CHAIN_COEFFS_CACHE) < _CHAIN_COEFFS_CACHE_ENTRIES:
-        _CHAIN_COEFFS_CACHE[p] = coeffs
-    return coeffs
-
-
-_PEEL_CACHE: dict[Poset, tuple[Poset, int]] = {}
+        return _multiset_coefficients(p.size)
+    # Newton's forward differences at 0 are the coefficients of C(n, k)
+    values, coeffs = _chain_count_values(p, p.size), []
+    for _ in range(p.size + 1):
+        coeffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return tuple(coeffs)
 
 
 def _peel_chain_tail(q: Poset) -> tuple[Poset, int]:
     """Split q as (base, k) where q = base ⊕ chain(k) with k maximal."""
-    cached = _PEEL_CACHE.get(q)
-    if cached is not None:
-        return cached
-    alive = list(range(q.size))
-    tail = 0
+    alive, tail = (1 << q.size) - 1, 0
     while alive:
-        alive_mask = 0
-        for i in alive:
-            alive_mask |= 1 << i
-        top = None
-        for i in alive:
-            if q.down_mask(i) & alive_mask == alive_mask:
-                top = i
-                break
-        if top is None:
+        tops = [i for i in _iter_bits(alive) if q.down_mask(i) & alive == alive]
+        if not tops:
             break
-        alive.remove(top)
+        alive ^= 1 << tops[0]
         tail += 1
-    result = (subposet(q, alive), tail)
-    if len(_PEEL_CACHE) < 50_000:
-        _PEEL_CACHE[q] = result
-    return result
+    return _sub_from_mask(q, alive), tail
 
 
-def _backtrack_count(p: Poset, q: Poset, max_steps: int | None) -> tuple[int, int]:
-    """Exhaustive count for irregular targets (never materializes the maps), with its steps."""
+def _backtrack_count(p: Poset, q: Poset, max_steps: int | None) -> int:
+    """Exhaustive count for irregular targets (never materializes the maps)."""
     ext = _linear_extension(p)
     preds = [[y for y in ext[:k] if p.lt(y, x)] for k, x in enumerate(ext)]
     full = (1 << q.size) - 1
@@ -544,41 +498,20 @@ def _backtrack_count(p: Poset, q: Poset, max_steps: int | None) -> tuple[int, in
         image.pop(ext[k], None)
         return total
 
-    return count(0), steps
+    return count(0)
 
 
-def _count_entry(p: Poset, q: Poset, max_steps: int | None) -> tuple[int, int]:
-    """``(|hom(p, q)|, steps)``, cached, with ``steps`` the longest backtracking run it took.
-
-    The limit is checked against the stored steps on every call, so a
-    cached count raises exactly when computing it afresh would.
-    """
+@memo
+def _count(p: Poset, q: Poset, max_steps: int | None) -> int:
+    """|hom(p, q)|, raising if one backtracking run takes more than ``max_steps`` steps."""
     if p.size == 0:
-        return 1, 0
+        return 1
     if q.size == 0:
-        return 0, 0
-    key = (p, q)
-    cached = _COUNT_CACHE.get(key)
-    if cached is None:
-        q0, tail = _peel_chain_tail(q)
-        steps = 0
-        if not q0.size:
-            result = binomial_value(_chain_coeffs(p), tail)
-        elif tail == 0:
-            result, steps = _backtrack_count(p, q, max_steps)
-        else:
-            result = 0
-            full = (1 << p.size) - 1
-            for mask in _down_set_masks(p):
-                lower, sub = _count_entry(_sub_from_mask(p, mask), q0, max_steps)
-                steps = max(steps, sub)
-                if lower:
-                    upper = _chain_coeffs(_sub_from_mask(p, full & ~mask))
-                    result += lower * binomial_value(upper, tail)
-        cached = _COUNT_CACHE[key] = (result, steps)
-    if max_steps is not None and cached[1] > max_steps:
-        raise EnumerationLimitError(f"map counting exceeded {max_steps} steps")
-    return cached
+        return 0
+    q0, tail = _peel_chain_tail(q)
+    if not tail:
+        return _backtrack_count(p, q, max_steps)
+    return binomial_value(_hom_coefficients(p, q0, max_steps), tail)
 
 
 def count_hom(p: Poset, q: Poset, *, max_steps: int | None = None) -> int:
@@ -588,10 +521,23 @@ def count_hom(p: Poset, q: Poset, *, max_steps: int | None = None) -> int:
     form (base ⊕ chain) are counted by splitting each map at the chain: the
     part landing in the base lives on a down-set of ``p`` and the rest is
     counted by the chain polynomial of the complementary up-set.  With
-    ``max_steps``, a backtracking run longer than that raises, whether or
-    not the count is already cached.
+    ``max_steps``, a backtracking run longer than that raises.
     """
-    return _count_entry(p, q, max_steps)[0]
+    return _count(p, q, max_steps)
+
+
+def _hom_coefficients(p: Poset, q: Poset, max_steps: int | None) -> tuple[int, ...]:
+    """:func:`hom_coefficients` without its limit on the source size."""
+    if not q.size:  # every map lands in the chain
+        return _chain_coeffs(p)
+    full = (1 << p.size) - 1
+    total = [0] * (p.size + 1)
+    for mask in _down_set_masks(p):
+        lower = _count(_sub_from_mask(p, mask), q, max_steps)
+        if lower:
+            for k, e in enumerate(_chain_coeffs(_sub_from_mask(p, full & ~mask))):
+                total[k] += lower * e
+    return tuple(total)
 
 
 def hom_coefficients(
@@ -609,16 +555,7 @@ def hom_coefficients(
         raise EnumerationLimitError(
             f"hom polynomial limited to {max_size} source elements, poset has {p.size}"
         )
-    if not q.size:  # every map lands in the chain
-        return _chain_coeffs(p)
-    full = (1 << p.size) - 1
-    total = [0] * (p.size + 1)
-    for mask in _down_set_masks(p):
-        lower = count_hom(_sub_from_mask(p, mask), q, max_steps=max_steps)
-        if lower:
-            for k, e in enumerate(_chain_coeffs(_sub_from_mask(p, full & ~mask))):
-                total[k] += lower * e
-    return tuple(total)
+    return _hom_coefficients(p, q, max_steps)
 
 
 def hom_polynomial(

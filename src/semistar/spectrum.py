@@ -24,9 +24,9 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
+from ._memo import memo
 from .errors import EnumerationLimitError, SpectrumValidationError, UnknownNodeError
 from .posets import Poset
 
@@ -515,7 +515,7 @@ class Support:
         return "{" + ", ".join(names) + "}"
 
 
-@lru_cache(maxsize=None)
+@memo
 def _component_poset(masks: tuple[int, ...], full_mask: int) -> tuple[Poset, int | None]:
     pairs = [
         (i, j)
@@ -561,9 +561,9 @@ class SupportTable:
         self.multiplicity = array("I", rows.values())
 
 
-@lru_cache(maxsize=64)
-def _supports(m: int) -> tuple[tuple[Support, ...], dict[bool, SupportTable]]:
-    """The supports over ``m`` branches, with room for their two shape tables."""
+@memo
+def _supports(m: int) -> tuple[Support, ...]:
+    """The supports over ``m`` branches, sorted canonically."""
     subsets = sorted(range(1, 1 << m), key=lambda s: (s.bit_count(), s))
     found: list[frozenset[int]] = []
 
@@ -582,7 +582,7 @@ def _supports(m: int) -> tuple[tuple[Support, ...], dict[bool, SupportTable]]:
     extend(0, [])
     supports = [Support(m, fam | {0}) for fam in found]
     supports.sort(key=Support.sort_key)
-    return tuple(supports), {}
+    return tuple(supports)
 
 
 def enumerate_supports(
@@ -605,7 +605,7 @@ def enumerate_supports(
         raise EnumerationLimitError(
             f"support enumeration limited to {max_branches} branches, got {m}"
         )
-    return _supports(m)[0]
+    return _supports(m)
 
 
 def support_table(
@@ -614,10 +614,12 @@ def support_table(
     """The shape table of the supports over ``m`` branches (see :class:`SupportTable`).
 
     It goes through :func:`enumerate_supports`, so the branch limit holds
-    here too; the table is kept with the supports it was built from.
+    here too.
     """
-    supports = enumerate_supports(m, max_branches=max_branches)
-    tables = _supports(m)[1]
-    if closing not in tables:
-        tables[closing] = SupportTable(supports, m, closing)
-    return tables[closing]
+    enumerate_supports(m, max_branches=max_branches)
+    return _support_table(m, closing)
+
+
+@memo
+def _support_table(m: int, closing: bool) -> SupportTable:
+    return SupportTable(_supports(m), m, closing)

@@ -5,7 +5,9 @@ import random
 import subprocess
 import sys
 
-from semistar import Poset, build_tree
+import pytest
+
+from semistar import Poset, _memo, build_tree, clear_caches
 from semistar.posets import _iter_bits
 
 
@@ -118,3 +120,16 @@ def run_fresh(script):
     return subprocess.run(
         [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True
     )
+
+
+@pytest.fixture
+def cache_bound(monkeypatch):
+    """``cache_bound(n)`` empties every memo and bounds each to ``n`` entries for the test."""
+
+    def bound(entries):
+        monkeypatch.setattr(_memo, "CACHE_ENTRIES", entries)
+        clear_caches()
+
+    yield bound
+    monkeypatch.undo()
+    clear_caches()

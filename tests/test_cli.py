@@ -224,18 +224,27 @@ def test_max_maps_env(fex_path):
 
 def test_max_maps_env_is_read_on_every_call(fex_path, monkeypatch, capsys):
     # the parser is built once per process; the environment is not frozen in it
-    from semistar import engine
-
-    monkeypatch.setattr(engine, "_BRANCH_CACHE", {})
     monkeypatch.setenv("SEMISTAR_MAX_MAPS", "1")
     assert main(["count", fex_path]) == 2
     monkeypatch.delenv("SEMISTAR_MAX_MAPS")
     assert main(["count", fex_path]) == 0
-    monkeypatch.setattr(engine, "_BRANCH_CACHE", {})  # a cached branch term skips max_maps
     monkeypatch.setenv("SEMISTAR_MAX_MAPS", "1")
     assert main(["count", fex_path]) == 2
     assert main(["count", fex_path, "--max-maps", "100"]) == 0
     assert "exceeded 1 steps" in capsys.readouterr().err
+
+
+def test_limits_in_one_process_match_fresh_runs(fex_path, capsys):
+    # a default call in between must not let a later --max-maps 1 call pass
+    script = "import sys\nfrom semistar.cli import main\nsys.exit(main({!r}))"
+    for command in (["count"], ["hasse", "--target", "semistar"]):
+        flags = (["--max-maps", "1"], [], ["--max-maps", "1"])
+        calls = [[*command, fex_path, *f] for f in flags]
+        in_process = [run(capsys, *argv) for argv in calls]
+        assert [code for code, _, _ in in_process] == [2, 0, 2]
+        for argv, result in zip(calls, in_process):
+            fresh = run_fresh(script.format(argv))
+            assert result == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 def test_poly_calls_in_one_process_match_fresh_runs(fex_path, capsys):

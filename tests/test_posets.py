@@ -23,7 +23,7 @@ from semistar import (
     product,
     subposet,
 )
-from semistar import posets as posets_module
+from semistar import cache_info, clear_caches
 from semistar.oracle import brute_count_hom
 from semistar.posets import _chain_coeffs, hom_coefficients
 
@@ -137,17 +137,14 @@ def test_enum_hom_maps_are_valid_and_deterministic():
     assert len(set(m.image for m in maps)) == len(maps)
 
 
-def test_enum_hom_does_not_depend_on_cache_state(monkeypatch):
-    from semistar import posets as posets_module
-
+def test_enum_hom_does_not_depend_on_cache_state(cache_bound):
     pairs = [(diamond(), chain(3)), (antichain(2), diamond()), (chain(2), antichain(3))]
     cold = [[m.image for m in enum_hom(p, q)] for p, q in pairs]
-    # a full cache takes no new entry, and answers and limits stay the same
-    monkeypatch.setattr(posets_module, "_ENUM_HOM_CACHE", {})
-    monkeypatch.setattr(posets_module, "_ENUM_HOM_CACHE_ENTRIES", 1)
+    # full memos drop entries, and answers and limits stay the same
+    cache_bound(1)
     for _ in range(2):
         assert [[m.image for m in enum_hom(p, q)] for p, q in pairs] == cold
-        assert len(posets_module._ENUM_HOM_CACHE) == 1
+        assert all(info.currsize <= 1 for info in cache_info().values())
         with pytest.raises(EnumerationLimitError):
             enum_hom(*pairs[0], max_maps=len(cold[0]) - 1)
         with pytest.raises(EnumerationLimitError):
@@ -268,7 +265,7 @@ def test_chain_coefficients_count_surjections(p):
         assert coefficient == onto
 
 
-def test_answers_unchanged_past_the_chain_coefficient_cap(monkeypatch):
+def test_answers_unchanged_past_the_chain_coefficient_cap(cache_bound):
     sources = [random_poset(random.Random(seed), max_size=6) for seed in range(30)]
     sources += [chain(k) for k in range(5)]
 
@@ -278,15 +275,12 @@ def test_answers_unchanged_past_the_chain_coefficient_cap(monkeypatch):
             for p in sources
         ]
 
-    for name in ("_CHAIN_COEFFS_CACHE", "_COUNT_CACHE"):
-        monkeypatch.setattr(posets_module, name, {})
+    clear_caches()
     uncapped = answers()
-    monkeypatch.setattr(posets_module, "_CHAIN_COEFFS_CACHE_ENTRIES", 4)
-    for name in ("_CHAIN_COEFFS_CACHE", "_COUNT_CACHE"):
-        monkeypatch.setattr(posets_module, name, {})
+    cache_bound(4)
     for _ in range(2):
         assert answers() == uncapped
-        assert len(posets_module._CHAIN_COEFFS_CACHE) == 4
+        assert cache_info()["posets._chain_coeffs"].currsize == 4
     assert [a[1] for a in uncapped] == [len(enum_hom(p, chain(3))) for p in sources]
 
 
