@@ -26,12 +26,16 @@ Stanley's order polynomial of ``C - D`` at ``n``.  Every such factor is kept
 as integers ``e_k`` in the binomial basis, ``sum(e_k * C(n, k))``, where order
 polynomials have integer coefficients.  Evaluated at the labels the sum is a
 count, in integers only; left symbolic in chosen branches it is a sum of
-integer multiples of products of binomials, turned into one ``MultiPoly`` at
-the end.  The weight chain is never built to count.  A support's term depends
-only on its component shapes, so the sum runs over a table fixed by the
-branch count (``spectrum.support_table``: 2 480 supports but 38 shapes at
-four branches): each branch's factor is taken once per shape and multiplied
-into the rows column by column.  The tests check the counts against element
+integer multiples of products of binomials.  A symbolic epsilon joins the
+same basis: the count is affine in it, so the relabelled sums at epsilon 1
+and 2 combine as ``C(eps, 0) (2 P(1) - P(2)) + C(eps, 1) (P(2) - P(1))``.
+Every polynomial answer is one ``MultiPoly.from_binomial``, with no
+polynomial arithmetic on the way.  The weight chain is never built to count.
+A support's term depends only on its component shapes, so the sum runs over
+a table fixed by the branch count (``spectrum.support_table``: 2 480
+supports but 38 shapes at four branches): each branch's factor is taken
+once per shape and multiplied into the rows column by column.  The tests
+check the counts against element
 enumeration (``semistar_element_counts``), materialization
 (``semistar_poset``), the brute-force oracle and interpolation.
 """
@@ -41,12 +45,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as cartesian
 from math import prod
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ._memo import memo
 from .errors import EnumerationLimitError
 from .polynomials import MultiPoly, binomial_value
 from .posets import (
+    DEFAULT_MAX_MAPS,
     OrderMap,
     Poset,
     chain,
@@ -58,6 +63,7 @@ from .posets import (
     _iter_bits,
 )
 from .spectrum import (
+    DEFAULT_MAX_BRANCHES,
     SpectrumTree,
     Support,
     branch_subtree,
@@ -72,8 +78,8 @@ from .spectrum import (
 class Limits:
     """Size guards; exceeding any of them raises, nothing is truncated."""
 
-    max_branches: int = 4
-    max_maps: int = 10_000_000
+    max_branches: int = DEFAULT_MAX_BRANCHES
+    max_maps: int = DEFAULT_MAX_MAPS
     max_poset: int = 2000
 
 
@@ -301,64 +307,51 @@ def tildhom_count(
 
 
 @memo
-def _term(
-    record: _Branch, component: Poset, d_index: int | None, symbolic: bool, limits: Limits
-) -> int | tuple[int, ...]:
-    """One branch's factor for one support: coefficients in C(n, k), or their value at ``omega``."""
-    coefficients = tildhom_count(component, d_index, record.tree, limits)
-    return coefficients if symbolic else binomial_value(coefficients, record.omega)
-
-
-def _by_index(term: int | tuple[int, ...]) -> list[tuple[int, int]]:
-    """A branch factor in its weight ``n`` as (k, coefficient of C(n, k)) pairs."""
-    if isinstance(term, int):
-        return [(0, term)]
-    return [(k, c) for k, c in enumerate(term) if c]
+def _term(record: _Branch, component: Poset, d_index: int | None, limits: Limits):
+    """One branch's factor for one support, in C(n, k); ``(1,)`` if the support misses it."""
+    if not component.size:
+        return (1,)
+    return tildhom_count(component, d_index, record.tree, limits)
 
 
 def _support_sum(
-    t: SpectrumTree, closing: bool, symbolic: Mapping[str, str], limits: Limits
-) -> int | MultiPoly:
-    """Sum over supports of the product of the branch factors.
+    t: SpectrumTree, closing: bool, symbolic: frozenset[str], limits: Limits
+) -> dict[tuple[int, ...], int]:
+    """Sum over supports of the product of the branch factors, in the binomial basis.
 
     ``closing`` keeps the supports containing the domain and sends it to
     ring-closing elements.  The supports come as a shape table (a column of
-    component shapes per branch, identical rows merged), so each branch
-    takes its factor once per shape, and the branches at their labels are
-    folded into the row multiplicities one column at a time.  Branches in
-    ``symbolic`` (root child id to variable name) stay polynomials in their
-    weight: rows are grouped by their symbolic shapes, and the integer
-    coefficient products of the groups add up in one dict keyed by binomial
-    indices, which becomes a ``MultiPoly`` once, at the end.
+    component shapes per branch, identical rows merged, every shape in every
+    column), so each branch takes its factor once per shape.  A branch at
+    its label is folded into the row multiplicities one column at a time.
+    The root children in ``symbolic`` stay polynomials in their weights:
+    rows are grouped by their symbolic shapes and expanded into one dict
+    ``{(k_1, ..., k_s): c}`` for the sum of ``c * C(n_1, k_1) ... C(n_s,
+    k_s)``, indices in branch order.  A count is its ``()`` entry.
     """
     records = _branches(t, limits)
     table = support_table(len(records), closing, max_branches=limits.max_branches)
     acc, kept = list(table.multiplicity), []
     for record, column in zip(records, table.columns):
-        name = symbolic.get(record.child)
-        factors = {}
-        for s in set(column):  # the shapes this branch meets, each once
-            component, d_index = table.shapes[s]
-            factors[s] = 1
-            if component.size:
-                factors[s] = _term(record, component, d_index, name is not None, limits)
-        if name is None:
-            acc = [a * factors[s] for a, s in zip(acc, column)]
+        factors = [_term(record, component, d, limits) for component, d in table.shapes]
+        if record.child in symbolic:
+            kept.append((column, [[(k, c) for k, c in enumerate(f) if c] for f in factors]))
         else:
-            kept.append((name, column, {s: _by_index(f) for s, f in factors.items()}))
+            values = [binomial_value(f, record.omega) for f in factors]
+            acc = [a * values[s] for a, s in zip(acc, column)]
     if not kept:
-        return sum(acc)
+        return {(): sum(acc)}
     groups: dict[tuple[int, ...], int] = {}
-    for key, factor in zip(zip(*(column for _, column, _ in kept)), acc):
+    for key, factor in zip(zip(*(column for column, _ in kept)), acc):
         groups[key] = groups.get(key, 0) + factor
-    total = {}  # index tuples hold one entry per symbolic branch, in branch order
+    total: dict[tuple[int, ...], int] = {}
     for key, factor in groups.items():
         term = {(): factor}
-        for s, (_, _, pieces) in zip(key, kept):
+        for s, (_, pieces) in zip(key, kept):
             term = {e + (k,): c * a for e, c in term.items() for k, a in pieces[s]}
         for e, c in term.items():
             total[e] = total.get(e, 0) + c
-    return MultiPoly.from_binomial([name for name, _, _ in kept], total)
+    return total
 
 
 def count_semistar(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
@@ -369,7 +362,7 @@ def count_semistar(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
     branch's fractional-star poset.  The quotient-field-only support
     contributes the single all-to-field operation.
     """
-    return _support_sum(t, False, {}, limits)
+    return _support_sum(t, False, frozenset(), limits)[()]
 
 
 def count_fstar(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
@@ -379,7 +372,7 @@ def count_fstar(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
 
 def count_smstar(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
     """Number of semistar operations that close the domain itself."""
-    return _support_sum(t, True, {}, limits)
+    return _support_sum(t, True, frozenset(), limits)[()]
 
 
 def count_star(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
@@ -536,9 +529,9 @@ def _semistar_poset(t: SpectrumTree, limits: Limits) -> SemistarPoset:
             shared[i, component] = sorted(found, key=lambda g: g.image)
         return shared[i, component]
 
-    supports = enumerate_supports(len(fstars), max_branches=limits.max_branches)
     blocks, elements, flags = [], [], set()
-    for support in sorted(supports, key=Support.sort_key):
+    # in ``Support.sort_key`` order, which is the order of the elements
+    for support in enumerate_supports(len(fstars), max_branches=limits.max_branches):
         block = _Block(support, fstars, len(elements), map_list)
         blocks.append(block)
         closing = support.contains_domain()  # then the domain is entry 0 of every map
@@ -590,14 +583,16 @@ def fstar_product(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> FlaggedPo
 # -- symbolic counting polynomials ---------------------------------------------------
 
 
-def _check_symbolic_omega(t: SpectrumTree, node_ids: Sequence[str]):
-    roots = set(standard_decomposition(t))
+def _symbolic_branches(t: SpectrumTree, node_ids: Sequence[str]) -> list[str]:
+    """The chosen root children in branch order, the order of ``_support_sum``'s indices."""
+    roots = standard_decomposition(t)
     for node_id in node_ids:
         t.node(node_id)
         if node_id not in roots:
             raise ValueError(
                 f"symbolic weight only at children of the root, {node_id!r} is not one"
             )
+    return [c for c in roots if c in node_ids]
 
 
 def semistar_polynomial(
@@ -614,8 +609,8 @@ def semistar_polynomial(
     """
     if not variables:
         raise ValueError("need at least one symbolic node")
-    _check_symbolic_omega(t, variables)
-    return _support_sum(t, False, {v: v for v in variables}, limits)
+    names = _symbolic_branches(t, variables)
+    return MultiPoly.from_binomial(names, _support_sum(t, False, frozenset(names), limits))
 
 
 def smstar_polynomial(
@@ -631,11 +626,14 @@ def smstar_polynomial(
     and are named ``eps_<id>``.  Since epsilon takes only the values 1 and 2,
     the count is affine in it: the polynomial is ``(2 - eps) P(1) + (eps - 1)
     P(2)`` in each epsilon variable, with ``P(e)`` the polynomial of the tree
-    relabelled with that epsilon.
+    relabelled with that epsilon.  In the binomial basis that is ``C(eps, 0)
+    (2 P(1) - P(2)) + C(eps, 1) (P(2) - P(1))``, so the relabelled sums are
+    combined in integers, with an index 0 or 1 per epsilon, and the answer is
+    one ``MultiPoly.from_binomial``.
     """
     if not omega_variables and not epsilon_variables:
         raise ValueError("need at least one symbolic node")
-    _check_symbolic_omega(t, omega_variables)
+    names = _symbolic_branches(t, omega_variables)
     eps_ids = sorted(set(epsilon_variables))
     eps_names = {node_id: f"eps_{node_id}" for node_id in eps_ids}
     clash = set(eps_names.values()) & (set(omega_variables) | set(eps_ids))
@@ -650,17 +648,17 @@ def smstar_polynomial(
                 "(the weight always dominates epsilon)"
             )
 
-    symbolic = {v: v for v in omega_variables}
-    if not eps_ids:
-        return _support_sum(t, True, symbolic, limits)
+    symbolic = frozenset(names)
     # a symbolic weight's label is never read, so it may rise to admit epsilon 2
     omega = {v: 2 for v in eps_ids if v in symbolic and t.omega(v) < 2}
-    total = MultiPoly.zero()
+    # the weight of epsilon 1 is 2 - eps = 2 C(eps, 0) - C(eps, 1), that of 2 is eps - 1
+    lagrange = {1: (2, -1), 2: (-1, 1)}
+    total: dict[tuple[int, ...], int] = {}
     for values in cartesian((1, 2), repeat=len(eps_ids)):
-        weight = MultiPoly.constant(1)
-        for node_id, value in zip(eps_ids, values):
-            eps = MultiPoly.variable(eps_names[node_id])
-            weight = weight * (2 - eps if value == 1 else eps - 1)
-        relabelled = t.with_labels(omega=omega, epsilon=dict(zip(eps_ids, values)))
-        total = total + weight * _support_sum(relabelled, True, symbolic, limits)
-    return total
+        relabelled = t.with_labels(omega=omega, epsilon=dict(zip(eps_ids, values))) if values else t
+        part = _support_sum(relabelled, True, symbolic, limits)
+        for ks in cartesian((0, 1), repeat=len(values)):
+            w = prod(lagrange[v][k] for v, k in zip(values, ks))
+            for key, c in part.items():
+                total[key + ks] = total.get(key + ks, 0) + w * c
+    return MultiPoly.from_binomial(names + [eps_names[v] for v in eps_ids], total)

@@ -5,13 +5,18 @@ branch factor from the support's own component poset, and groups supports
 by their symbolic components.  It reads each factor as a ``MultiPoly``
 (``tildhom_count`` through ``MultiPoly.from_binomial``) and expands the
 groups in the monomial basis, so it also checks the engine's change of
-basis, which expands in binomial indices and converts once.  Patched in for
-``engine._support_sum``, it gives the reference answers of all four public
-entry points; the engine's table-driven sum must give the same integers and
-polynomials.
+basis, which expands in binomial indices and converts once.  For symbolic
+epsilons it combines the relabelled trees as ``(2 - eps) P(1) + (eps - 1)
+P(2)`` in ``MultiPoly`` arithmetic, apart from the engine's integer
+combination.  Its four answers must equal those of the public entry points,
+integers and polynomials alike.
 """
 
+import ast
+import contextlib
 import random
+from collections import Counter
+from itertools import product as cartesian
 from unittest import mock
 
 import pytest
@@ -26,6 +31,7 @@ from semistar import (
     Limits,
     MultiPoly,
     build_tree,
+    clear_caches,
     count_semistar,
     count_smstar,
     semistar_polynomial,
@@ -38,20 +44,21 @@ from semistar.spectrum import enumerate_supports, support_table
 _FACTORS = {}  # (branch tree, component, domain index) -> (polynomial in n, value at omega)
 
 
-def _per_support_sum(t, closing, symbolic, limits):
-    records = engine._branches(t, limits)
-    names = [symbolic.get(record.child) for record in records]
+def _per_support_sum(t, closing, symbolic):
+    """The support sum as an integer, or as a ``MultiPoly`` in the weights of ``symbolic``."""
+    records = engine._branches(t, engine.DEFAULT_LIMITS)
+    names = [record.child if record.child in symbolic else None for record in records]
 
     def branch_factor(i, component, d_index):
         key = (records[i].tree, component, d_index)
         if key not in _FACTORS:
-            e = engine.tildhom_count(component, d_index, records[i].tree, limits)
+            e = engine.tildhom_count(component, d_index, records[i].tree)
             poly = MultiPoly.from_binomial(("n",), {(k,): c for k, c in enumerate(e)})
             _FACTORS[key] = poly, poly.evaluate({"n": records[i].omega})
         return _FACTORS[key]
 
     groups = {}
-    for support in enumerate_supports(len(records), max_branches=limits.max_branches):
+    for support in enumerate_supports(len(records)):
         if closing and not support.contains_domain():
             continue
         key, factor = [], 1
@@ -81,12 +88,36 @@ def _per_support_sum(t, closing, symbolic, limits):
     return MultiPoly([names[i] for i, _, _ in key], total)
 
 
+def _reference_smstar(t, omega_vars, eps_vars):
+    """The domain-closing polynomial, one epsilon at a time in ``MultiPoly`` arithmetic."""
+    eps_ids = sorted(set(eps_vars))
+    omega = {v: 2 for v in eps_ids if v in omega_vars and t.omega(v) < 2}
+    total = MultiPoly.zero()
+    for values in cartesian((1, 2), repeat=len(eps_ids)):
+        weight = MultiPoly.constant(1)
+        for node_id, value in zip(eps_ids, values):
+            eps = MultiPoly.variable(f"eps_{node_id}")
+            weight = weight * (2 - eps if value == 1 else eps - 1)
+        relabelled = t.with_labels(omega=omega, epsilon=dict(zip(eps_ids, values)))
+        total = total + weight * _per_support_sum(relabelled, True, set(omega_vars))
+    return total
+
+
 def _answers(t, omega_vars, eps_vars):
     answers = [count_semistar(t), count_smstar(t)]
     if omega_vars:
         answers.append(semistar_polynomial(t, omega_vars))
     if omega_vars or eps_vars:
         answers.append(smstar_polynomial(t, omega_vars, eps_vars))
+    return answers
+
+
+def _reference_answers(t, omega_vars, eps_vars):
+    answers = [_per_support_sum(t, False, set()), _per_support_sum(t, True, set())]
+    if omega_vars:
+        answers.append(_per_support_sum(t, False, set(omega_vars)))
+    if omega_vars or eps_vars:
+        answers.append(_reference_smstar(t, omega_vars, eps_vars))
     return answers
 
 
@@ -100,17 +131,17 @@ def _assert_matches_reference(t, omega_vars=None, eps_vars=None):
         omega_vars = list(t.children(t.root_id))[:2]
     if eps_vars is None:
         eps_vars = _eps_choices(t, omega_vars)[:1]
-    got = _answers(t, omega_vars, eps_vars)
-    with mock.patch.object(engine, "_support_sum", _per_support_sum):
-        expected = _answers(t, omega_vars, eps_vars)
-    assert got == expected
+    assert _answers(t, omega_vars, eps_vars) == _reference_answers(t, omega_vars, eps_vars)
 
 
 def test_reference_is_the_old_path_on_known_values():
-    with mock.patch.object(engine, "_support_sum", _per_support_sum):
-        assert count_semistar(h_local([1, 1, 1])) == 61
-        assert count_smstar(h_local([1, 1, 1])) == 45
-        assert count_semistar(final_example(1, 1)) == 67
+    assert _per_support_sum(h_local([1, 1, 1]), False, set()) == 61
+    assert _per_support_sum(h_local([1, 1, 1]), True, set()) == 45
+    assert _per_support_sum(final_example(1, 1), False, set()) == 67
+    a, b = MultiPoly.variable("M1"), MultiPoly.variable("M2")
+    e1, e2 = MultiPoly.variable("eps_M1"), MultiPoly.variable("eps_M2")
+    two_leaves = ["M1", "M2"]
+    assert _reference_smstar(h_local([1, 1]), two_leaves, two_leaves) == (1 + e1 * a) * (1 + e2 * b)
 
 
 def test_matches_per_support_sum_on_the_oracle_lattice():
@@ -139,6 +170,7 @@ def test_matches_per_support_sum_on_four_branches():
         _assert_matches_reference(t, [], [])
         _assert_matches_reference(t, ["M2"], ["M3"])
         _assert_matches_reference(t, ["M1", "M4"], ["M4"])
+        _assert_matches_reference(t, ["M1", "M4"], ["M1", "M3", "M4"])
 
 
 def test_matches_per_support_sum_on_deeper_shapes():
@@ -170,6 +202,8 @@ def test_tables_count_every_support_once():
             assert len(table.columns) == m
             assert all(len(c) == len(table.multiplicity) for c in table.columns)
             assert all(s < len(table.shapes) for c in table.columns for s in c)
+            # every branch meets every shape, so the support sum needs each shape's factor
+            assert all(set(c) == set(range(len(table.shapes))) for c in table.columns)
         assert all(d is None for _, d in every.shapes)
     # the distinct component shapes at four branches
     assert (len(support_table(4, False).shapes), len(support_table(4, True).shapes)) == (38, 37)
@@ -180,9 +214,9 @@ def test_each_branch_takes_one_term_per_shape():
     calls = []
     real = engine._term
 
-    def counted(record, component, d_index, symbolic, limits):
-        calls.append((record.child, component, d_index, symbolic))
-        return real(record, component, d_index, symbolic, limits)
+    def counted(record, component, d_index, limits):
+        calls.append((record.child, component, d_index))
+        return real(record, component, d_index, limits)
 
     for closing, count in ((False, count_semistar), (True, count_smstar)):
         calls.clear()
@@ -190,8 +224,88 @@ def test_each_branch_takes_one_term_per_shape():
             count(t)
         assert len(calls) == len(set(calls))
         shapes = len(support_table(4, closing).shapes)
-        for branch in t.children(t.root_id):  # a labelled factor asks for its polynomial once
-            assert sum(1 for b, _, _, symbolic in calls if b == branch and not symbolic) <= shapes
+        for branch in t.children(t.root_id):  # a factor is asked for once per shape
+            assert sum(1 for b, _, _ in calls if b == branch) == shapes
+
+    # counted or symbolic, each branch shape's factor is computed once
+    real_count = engine.tildhom_count
+    deeper = final_example(2, 3, leaf_omegas=(2, 1))
+    for tree, omega_vars, eps_vars in [(t, ["M1", "M3"], ["M4"]), (deeper, ["P"], ["M1"])]:
+        factors = Counter()
+
+        def counted_factor(component, d_index, branch, limits=engine.DEFAULT_LIMITS):
+            factors[branch, component, d_index] += 1
+            return real_count(component, d_index, branch, limits)
+
+        clear_caches()
+        with mock.patch.object(engine, "tildhom_count", counted_factor):
+            count_semistar(tree), count_smstar(tree)
+            semistar_polynomial(tree, omega_vars)
+            smstar_polynomial(tree, omega_vars, eps_vars)
+        assert factors and max(factors.values()) == 1
+
+
+# -- one basis: no polynomial arithmetic in the engine ------------------------------------
+
+
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
+
+
+def test_a_polynomial_answer_is_one_multipoly_without_arithmetic():
+    t = h_local([2, 3, 2], [1, 2, 2])
+    omega_vars, eps_vars = ["M1", "M2"], ["M2", "M3"]
+    clear_caches()
+    with contextlib.ExitStack() as stack:
+        spies = {
+            name: stack.enter_context(
+                mock.patch.object(
+                    MultiPoly, name, autospec=True, side_effect=getattr(MultiPoly, name)
+                )
+            )
+            for name in ("__init__",) + _ARITHMETIC
+        }
+        poly = smstar_polynomial(t, omega_vars, eps_vars)
+    assert spies["__init__"].call_count == 1
+    assert {name: spies[name].call_count for name in _ARITHMETIC} == dict.fromkeys(_ARITHMETIC, 0)
+    assert poly == _reference_smstar(t, omega_vars, eps_vars)
+
+
+def _multipoly_uses(tree: ast.Module) -> list[str]:
+    """Uses of ``MultiPoly`` other than ``MultiPoly.from_binomial`` and type annotations."""
+    allowed = set()
+    for node in ast.walk(tree):
+        kept = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            kept = [a.annotation for a in every if a is not None] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            kept = [node.annotation]
+        elif isinstance(node, ast.Attribute) and node.attr == "from_binomial":
+            kept = [node.value]
+        for part in kept:
+            if part is not None:
+                allowed.update(id(n) for n in ast.walk(part))
+    return [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "MultiPoly" and id(node) not in allowed
+    ]
+
+
+_MISUSES = """
+def f(x: MultiPoly, *rest: MultiPoly) -> MultiPoly:
+    y: MultiPoly = MultiPoly.from_binomial((), {})
+    return MultiPoly.zero() + MultiPoly((), {}) * y + isinstance(x, MultiPoly)
+"""
+
+
+def test_the_engine_uses_multipoly_only_through_from_binomial():
+    assert _multipoly_uses(ast.parse(_MISUSES)) == ["line 4"] * 3
+    with open(engine.__file__, encoding="utf-8") as handle:
+        source = handle.read()
+    assert "MultiPoly.from_binomial(" in source
+    assert _multipoly_uses(ast.parse(source)) == []
 
 
 # -- limits, with and without cached tables and terms ------------------------------------
