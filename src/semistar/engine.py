@@ -34,10 +34,13 @@ polynomial arithmetic on the way.  The weight chain is never built to count.
 A support's term depends only on its component shapes, so the sum runs over
 a table fixed by the branch count (``spectrum.support_table``: 2 480
 supports but 38 shapes at four branches): each branch's factor is taken
-once per shape and multiplied into the rows column by column.  The tests
-check the counts against element
-enumeration (``semistar_element_counts``), materialization
-(``semistar_poset``), the brute-force oracle and interpolation.
+once per shape and multiplied into the rows column by column.  The table is
+read from the supports as integer bitsets over the skeleton masks, so
+counts and polynomials build no ``Support``; only the ordered set and
+element enumeration walk ``enumerate_supports``.  The tests check the
+counts against element enumeration (``semistar_element_counts``),
+materialization (``semistar_poset``), the brute-force oracle and
+interpolation.
 """
 
 from __future__ import annotations

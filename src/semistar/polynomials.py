@@ -18,7 +18,7 @@ an answer into a ``MultiPoly`` once, through :meth:`MultiPoly.from_binomial`.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as cartesian
+from itertools import chain, product as cartesian
 from math import comb, factorial
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -43,7 +43,16 @@ class MultiPoly:
 
     __slots__ = ("variables", "terms")
 
-    def __init__(self, variables: Iterable[str], terms: Mapping[tuple[int, ...], Scalar]):
+    def __init__(
+        self,
+        variables: Iterable[str],
+        terms: Mapping[tuple[int, ...], Scalar],
+        _canonical: bool = False,
+    ):
+        if _canonical:  # sorted used variables, Fraction terms, none zero
+            object.__setattr__(self, "variables", variables)
+            object.__setattr__(self, "terms", terms)
+            return
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
@@ -94,28 +103,43 @@ class MultiPoly:
         """The polynomial sum of ``c * C(x_1, k_1) * ... * C(x_m, k_m)`` over ``terms``.
 
         ``terms`` maps index tuples ``(k_1, ..., k_m)``, aligned with
-        ``variables``, to integer coefficients.  The change of basis runs one
-        variable at a time in integers: ``C(x, k)`` is ``K!/k!`` times the
-        falling factorial of ``x`` over ``K!``, with ``K`` the variable's
-        largest index, so each coefficient is divided once, at the end.
+        ``variables``, to integer coefficients.  A variable is used exactly
+        when some nonzero term has a positive index in it, so the canonical
+        variables (the used ones, sorted by name) are known before the
+        change of basis, which runs on them only.  It runs one variable at a
+        time in integers: ``C(x, k)`` is ``K!/k!`` times the falling
+        factorial of ``x`` over ``K!``, with ``K`` the variable's largest
+        index, so each coefficient is divided once, at the end, into one
+        ``Fraction`` per monomial.
         """
         variables = tuple(variables)
-        for key in terms:
-            if len(key) != len(variables):
-                raise ValueError("index vector length does not match variable count")
-            if any(not isinstance(k, int) or k < 0 for k in key):
-                raise ValueError("binomial indices must be nonnegative integers")
+        if len(set(variables)) != len(variables):
+            raise ValueError("duplicate variable names")
+        if any(len(key) != len(variables) for key in terms):
+            raise ValueError("index vector length does not match variable count")
+        kinds = set(map(type, chain.from_iterable(terms)))
+        integral = all(issubclass(kind, int) for kind in kinds)
+        if not integral or min(chain.from_iterable(terms), default=0) < 0:
+            raise ValueError("binomial indices must be nonnegative integers")
+        terms = {key: c for key, c in terms.items() if c}
+        tops = [max(column) for column in zip(*terms)] or [0] * len(variables)
+        used = sorted((i for i, top in enumerate(tops) if top), key=variables.__getitem__)
+        terms = {tuple(key[i] for i in used): c for key, c in terms.items()}
         scale = 1
-        for i in range(len(variables)):
-            top = max((key[i] for key in terms), default=0)
-            rows = _falling_rows(top)
+        for i in used:  # expand the first index, append its exponents at the end
+            rows = _falling_rows(tops[i])
             expanded: dict[tuple[int, ...], int] = {}
             for key, c in terms.items():
-                for j, s in rows[key[i]]:
-                    e = key[:i] + (j,) + key[i + 1:]
+                rest = key[1:]
+                for j, s in rows[key[0]]:
+                    e = rest + (j,)
                     expanded[e] = expanded.get(e, 0) + c * s
-            terms, scale = expanded, scale * factorial(top)
-        return cls(variables, {e: Fraction(c, scale) for e, c in terms.items()})
+            terms, scale = expanded, scale * factorial(tops[i])
+        return cls(
+            tuple(variables[i] for i in used),
+            {e: Fraction(c, scale) for e, c in terms.items() if c},
+            _canonical=True,
+        )
 
     # -- ring structure ----------------------------------------------------
 

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ._memo import memo
 from .errors import EnumerationLimitError, SpectrumValidationError, UnknownNodeError
-from .posets import Poset
+from .posets import Poset, _iter_bits
 
 #: Default cap on the number of branches in support enumerations.
 DEFAULT_MAX_BRANCHES = 4
@@ -539,20 +539,35 @@ class SupportTable:
     (identical rows are merged).  The domain-closing table keeps only the
     supports containing the domain.  Columns are ``bytes`` while the shape
     ids fit, so a table for four branches holds about 20 kB.
+
+    The table is read from the family bitsets of :func:`_families`, with no
+    :class:`Support` built: a branch's component is the family's bitset
+    masked by that branch, and each distinct component bitset is sorted
+    into a poset and given its shape id once.  Rows and shape ids come in
+    canonical support order.
     """
 
     __slots__ = ("shapes", "columns", "multiplicity")
 
-    def __init__(self, supports: Sequence[Support], m: int, closing: bool):
+    def __init__(self, m: int, closing: bool):
+        full = (1 << m) - 1
+        inside = _inside(m)
         ids: dict[tuple[Poset, int | None], int] = {}
+        shape_of: dict[int, int] = {}  # component bitset -> shape id
         rows: dict[tuple[int, ...], int] = {}
-        for support in supports:
-            if closing and not support.contains_domain():
+        for family in _families(m):
+            if closing and not family >> full & 1:
                 continue
             row = []
-            for i in range(m):
-                component, d_index = support.component_poset(i)
-                row.append(ids.setdefault((component, d_index if closing else None), len(ids)))
+            for part in inside:
+                component = family & part
+                shape = shape_of.get(component)
+                if shape is None:
+                    masks = tuple(sorted(_iter_bits(component), key=_component_sort_key))
+                    poset, d_index = _component_poset(masks, full)
+                    key = (poset, d_index if closing else None)
+                    shape = shape_of[component] = ids.setdefault(key, len(ids))
+                row.append(shape)
             row = tuple(row)
             rows[row] = rows.get(row, 0) + 1
         self.shapes = tuple(ids)
@@ -561,28 +576,69 @@ class SupportTable:
         self.multiplicity = array("I", rows.values())
 
 
-@memo
-def _supports(m: int) -> tuple[Support, ...]:
-    """The supports over ``m`` branches, sorted canonically."""
-    subsets = sorted(range(1, 1 << m), key=lambda s: (s.bit_count(), s))
-    found: list[frozenset[int]] = []
+def _inside(m: int) -> tuple[int, ...]:
+    """Per branch, the bitset of the masks over ``m`` branches that contain it."""
+    return tuple(sum(1 << s for s in range(1 << m) if s >> b & 1) for b in range(m))
 
-    def extend(k: int, family: list[int]):
+
+def _family_key(family: int, width: int):
+    """:meth:`Support.sort_key` of a family bitset of ``width`` bits.
+
+    Two ascending mask lists of one length first differ where the smaller
+    holds the lowest mask of the symmetric difference, so they compare as
+    the bitsets read backwards, the larger first.
+    """
+    return (family.bit_count(), -int(format(family, f"0{width}b")[::-1], 2))
+
+
+@memo
+def _families(m: int) -> tuple[int, ...]:
+    """The supports over ``m`` branches as bitsets over the masks, sorted canonically.
+
+    Bit ``s`` of a family is set when mask ``s`` is in it.  See
+    :func:`enumerate_supports` for the search.
+    """
+    subsets = sorted(range(1, 1 << m), key=lambda s: (s.bit_count(), s))
+    everything, inside = (1 << (1 << m)) - 1, _inside(m)
+    # per subset and branch in it: the masks without the branch, which move
+    # up by its bit when it joins them, and the masks with it, which stay
+    steps = [
+        [(everything ^ part, 1 << b, part) for b, part in enumerate(inside) if s >> b & 1]
+        for s in subsets
+    ]
+    found: list[int] = []
+
+    def extend(k: int, family: int, unions: int):
         if k == len(subsets):
-            found.append(frozenset(family))
+            found.append(family)
             return
         s = subsets[k]
-        forced = any(a | b == s for a in family for b in family)
-        if not forced:
-            extend(k + 1, family)
-        family.append(s)
-        extend(k + 1, family)
-        family.pop()
+        if not unions >> s & 1:
+            extend(k + 1, family, unions)
+        joined = family  # becomes the bitset of ``a | s`` over the masks ``a`` of the family
+        for move, shift, stay in steps[k]:
+            joined = (joined & move) << shift | joined & stay
+        extend(k + 1, family | 1 << s, unions | joined)
 
-    extend(0, [])
-    supports = [Support(m, fam | {0}) for fam in found]
-    supports.sort(key=Support.sort_key)
-    return tuple(supports)
+    extend(0, 1, 0)
+    found.sort(key=lambda family: _family_key(family, 1 << m))
+    return tuple(found)
+
+
+@memo
+def _supports(m: int) -> tuple[Support, ...]:
+    """The supports over ``m`` branches as :class:`Support` objects, sorted canonically."""
+    return tuple(Support(m, frozenset(_iter_bits(family))) for family in _families(m))
+
+
+def _check_branches(m: int, max_branches: int) -> None:
+    """The branch limit of support enumeration, for supports and tables alike."""
+    if m < 0:
+        raise ValueError("branch count must be nonnegative")
+    if m > max_branches:
+        raise EnumerationLimitError(
+            f"support enumeration limited to {max_branches} branches, got {m}"
+        )
 
 
 def enumerate_supports(
@@ -591,20 +647,17 @@ def enumerate_supports(
     """All supports over ``m`` branches, by depth-first closure generation.
 
     Nonempty masks are decided in an order compatible with union (by
-    popcount, then value); a mask that is already a union of two chosen
-    masks is forced in, which makes every union-closed family appear exactly
-    once.  Output is sorted canonically.
+    popcount, then value).  A family is a bitset over the masks, and the
+    search carries a second bitset, the unions of pairs of chosen masks,
+    which grows by one ``or`` per chosen mask; a mask already in it is
+    forced in, which makes every union-closed family appear exactly once.
+    Output is sorted canonically.
     """
     if isinstance(source, SpectrumTree):
         m = len(standard_decomposition(source))
     else:
         m = source
-    if m < 0:
-        raise ValueError("branch count must be nonnegative")
-    if m > max_branches:
-        raise EnumerationLimitError(
-            f"support enumeration limited to {max_branches} branches, got {m}"
-        )
+    _check_branches(m, max_branches)
     return _supports(m)
 
 
@@ -613,13 +666,13 @@ def support_table(
 ) -> SupportTable:
     """The shape table of the supports over ``m`` branches (see :class:`SupportTable`).
 
-    It goes through :func:`enumerate_supports`, so the branch limit holds
-    here too.
+    The branch limit is that of :func:`enumerate_supports`; no
+    :class:`Support` is built.
     """
-    enumerate_supports(m, max_branches=max_branches)
+    _check_branches(m, max_branches)
     return _support_table(m, closing)
 
 
 @memo
 def _support_table(m: int, closing: bool) -> SupportTable:
-    return SupportTable(_supports(m), m, closing)
+    return SupportTable(m, closing)

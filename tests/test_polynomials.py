@@ -169,6 +169,33 @@ def test_from_binomial_matches_interpolation(terms):
     assert MultiPoly.from_binomial(("x", "y"), terms) == interpolate(value, bounds)
 
 
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.just(0), st.integers(0, 3)),
+        st.integers(-6, 6),
+        max_size=6,
+    )
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_from_binomial_is_in_canonical_form(terms):
+    # names out of order, one variable never used, zero coefficients kept in
+    p = MultiPoly.from_binomial(("z", "unused", "a"), terms)
+    rebuilt = MultiPoly(p.variables, p.terms)
+    assert (p.variables, p.terms, hash(p)) == (rebuilt.variables, rebuilt.terms, hash(rebuilt))
+    assert p.variables == tuple(sorted(p.variables)) and "unused" not in p.variables
+    assert all(isinstance(c, Fraction) and c for c in p.terms.values())
+    assert p == MultiPoly.from_binomial(("a", "z"), {(k, i): c for (i, _, k), c in terms.items()})
+
+
+def test_from_binomial_checks_its_input():
+    with pytest.raises(ValueError, match="duplicate"):
+        MultiPoly.from_binomial(("n", "n"), {})
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        MultiPoly.from_binomial(("n", "m"), {(1, 0): 1, (1.0, 1): 2})
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        MultiPoly.from_binomial(("n",), {(Fraction(1, 2),): 1})
+
+
 def test_text_rendering():
     a, b = var("a"), var("b")
     p = Fraction(1, 4) * a**2 * b**2 + Fraction(3, 4) * a**2 * b + a + 7

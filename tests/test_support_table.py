@@ -38,7 +38,7 @@ from semistar import (
     smstar_polynomial,
 )
 from semistar import engine
-from semistar.spectrum import enumerate_supports, support_table
+from semistar.spectrum import Support, enumerate_supports, support_table
 
 
 _FACTORS = {}  # (branch tree, component, domain index) -> (polynomial in n, value at omega)
@@ -193,6 +193,28 @@ def test_matches_per_support_sum_on_deeper_shapes():
     _assert_matches_reference(y_tree(3, (2, 2), (1, 1)), ["P"], ["M1"])
 
 
+def _rows_by_support(m, closing):
+    """The table rows as shapes, built support by support from each ``Support``'s components."""
+    rows = Counter()
+    for support in enumerate_supports(m):
+        if closing and not support.contains_domain():
+            continue
+        shapes = []
+        for i in range(m):
+            component, d_index = support.component_poset(i)
+            shapes.append((component, d_index if closing else None))
+        rows[tuple(shapes)] += 1
+    return rows
+
+
+def _rows_as_shapes(table):
+    rows = Counter()
+    ids = zip(*table.columns) if table.columns else [()] * len(table.multiplicity)
+    for row, count in zip(ids, table.multiplicity):
+        rows[tuple(table.shapes[s] for s in row)] += count
+    return rows
+
+
 def test_tables_count_every_support_once():
     for m, (supports, closing) in enumerate([(1, 1), (2, 1), (7, 4), (61, 45), (2480, 2271)]):
         every, domain = support_table(m, False), support_table(m, True)
@@ -205,8 +227,47 @@ def test_tables_count_every_support_once():
             # every branch meets every shape, so the support sum needs each shape's factor
             assert all(set(c) == set(range(len(table.shapes))) for c in table.columns)
         assert all(d is None for _, d in every.shapes)
+        # the tables read family bitsets; the supports give the same rows one by one
+        assert _rows_as_shapes(every) == _rows_by_support(m, False)
+        assert _rows_as_shapes(domain) == _rows_by_support(m, True)
+        supports = enumerate_supports(m)
+        assert list(supports) == sorted(supports, key=Support.sort_key)
     # the distinct component shapes at four branches
     assert (len(support_table(4, False).shapes), len(support_table(4, True).shapes)) == (38, 37)
+
+
+def test_tables_and_supports_share_the_branch_limit():
+    every, closing = (lambda m: support_table(m, False)), (lambda m: support_table(m, True))
+    for supports_or_table in (enumerate_supports, every, closing):
+        with pytest.raises(
+            EnumerationLimitError, match="^support enumeration limited to 4 branches, got 5$"
+        ):
+            supports_or_table(5)
+        with pytest.raises(ValueError, match="^branch count must be nonnegative$"):
+            supports_or_table(-1)
+
+
+_COUNT_PATH_SCRIPT = (
+    "import sys; sys.path.insert(0, 'tests')\n"
+    "from conftest import h_local\n"
+    "from semistar import cache_info, count_report, semistar_polynomial, smstar_polynomial\n"
+    "t = h_local([1, 2, 3, 2])\n"
+    "print(count_report(t)['semistar'])\n"
+    "print(semistar_polynomial(t, ['M1', 'M3']).evaluate({'M1': 1, 'M3': 3}))\n"
+    "print(smstar_polynomial(t, ['M2'], ['M4']).evaluate({'M2': 2, 'eps_M4': 1}))\n"
+    "info = cache_info()\n"
+    "print(*(info[f'spectrum.{name}'].misses for name in ('_supports', '_support_table')))\n"
+)
+
+
+def test_counts_and_polynomials_build_no_support():
+    fresh = run_fresh(_COUNT_PATH_SCRIPT)
+    assert fresh.returncode == 0, fresh.stderr
+    t = h_local([1, 2, 3, 2])
+    semistar, at_labels, smstar, supports_built = fresh.stdout.splitlines()
+    assert int(semistar) == int(at_labels) == count_semistar(t)
+    assert int(smstar) == count_smstar(t)
+    assert supports_built == "0 2"  # both shape tables, and not one Support
 
 
 def test_each_branch_takes_one_term_per_shape():
