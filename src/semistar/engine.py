@@ -41,6 +41,13 @@ element enumeration walk ``enumerate_supports``.  The tests check the
 counts against element enumeration (``semistar_element_counts``),
 materialization (``semistar_poset``), the brute-force oracle and
 interpolation.
+
+The ordered set keeps the same product structure.  The operations of one
+support form a block, the product of the branch map lists.  Between a
+block and one of a smaller support, the order is the Kronecker product of
+one relation per branch (each map on the larger component against the
+maps above it on the smaller one), and the down-sets are the Kronecker
+product of the transposes, so no two operations are compared.
 """
 
 from __future__ import annotations
@@ -192,12 +199,6 @@ class _Branch:
 
 @memo
 def _branches(t: SpectrumTree, limits: Limits) -> tuple[_Branch, ...]:
-    for node in t.nodes:
-        width = len(t.children(node.id))
-        if width > limits.max_branches:
-            raise EnumerationLimitError(
-                f"node {node.id!r} has {width} branches, limit is {limits.max_branches}"
-            )
     ids = standard_decomposition(t)
     if len(ids) == 1:
         return (_Branch(t, limits),)
@@ -427,75 +428,45 @@ def semistar_element_counts(
 # -- the full ordered set ---------------------------------------------------------
 
 
-class _Block:
-    """The operations of one support, from index ``offset`` on in the ordered set.
+def _relation(rows: list, row_at, cols: list, col_at, cone) -> tuple[int, ...]:
+    """Per map ``r`` of ``rows``, the bitmask of the maps ``c`` of ``cols`` related to it.
 
-    They are the cartesian product of the branch map lists, each sorted by
-    image (``[None]`` for a branch the support misses), so an element's index
-    in the block is mixed-radix in its map indices, branch 0 the most
-    significant digit.  ``map_list(i, component)`` gives the sorted list of
-    branch ``i``.
+    ``c`` is related to ``r`` when ``c(col_at[k])`` is in ``cone(r(row_at[k]))``
+    at every position ``k``.  Position by position, the maps of ``cols`` are
+    filed by their image there, and the column of an image ``q`` is the
+    union of the files in ``cone(q)``.  With no position every map is
+    related to every row (the lists are ``[None]`` there).
     """
+    out = [(1 << len(cols)) - 1] * len(rows)
+    for p, k in zip(row_at, col_at):
+        files = {}
+        for j, c in enumerate(cols):
+            q = c.image[k]
+            files[q] = files.get(q, 0) | 1 << j
+        column = {}
+        for q in {r.image[p] for r in rows}:
+            mask = cone(q)
+            column[q] = sum(js for image, js in files.items() if mask >> image & 1)
+        out = [bits & column[r.image[p]] for bits, r in zip(out, rows)]
+    return tuple(out)
 
-    def __init__(self, support: Support, fstars: list[FlaggedPoset], offset: int, map_list):
-        self.support, self.fstars, self.offset = support, fstars, offset
-        self.comps, self.lists = [], []
-        for i in range(len(fstars)):
-            self.comps.append({mask: k for k, mask in enumerate(support.component(i))})
-            self.lists.append(map_list(i, support.component_poset(i)[0]))
-        sizes = [len(maps) for maps in self.lists]
-        self.size = prod(sizes)
-        self.strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
-        # multiplying by repeats[i] copies a run of strides[i] * sizes[i] bits over the block
-        full = (1 << self.size) - 1
-        self.repeats = [full // ((1 << s * n) - 1) for s, n in zip(self.strides, sizes)]
-        self._columns = {}
 
-    def columns(self, i: int, mask: int, down: bool) -> list[int]:
-        """Per element ``q`` of branch ``i``, the maps whose image of ``mask`` is above ``q``.
+def _kronecker(factors) -> list[int]:
+    """The rows of the Kronecker product of ``(relation, transpose)`` factors, the first outermost.
 
-        With ``down``, below ``q``; each column takes in those of the covers of ``q``.
-        """
-        key = (i, mask, down)
-        cols = self._columns.get(key)
-        if cols is None:
-            fp, k = self.fstars[i].poset, self.comps[i][mask]
-            cols = [0] * fp.size
-            for j, g in enumerate(self.lists[i]):
-                cols[g.image[k]] |= 1 << j
-            # q takes in the column of its cover c once that one is complete
-            edges = [(hi, lo) if down else (lo, hi) for lo, hi in fp.covers()]
-            rank = fp.down_mask if down else fp.up_mask
-            for q, c in sorted(edges, key=lambda e: rank(e[0]).bit_count()):
-                cols[q] |= cols[c]
-            self._columns[key] = cols
-        return cols
-
-    def rows(self, other: "_Block", down: bool) -> list[int]:
-        """For each element of ``other`` (larger support), the elements of this block above it.
-
-        With ``down`` the supports swap and the rows hold the elements below.
-        Either set is a product over the branches of the maps above (below)
-        the given map on the component of the smaller support.
-        """
-        small = other if down else self
-        rows = [(1 << self.size) - 1]
-        for i, maps in enumerate(other.lists):
-            if not small.comps[i]:
-                rows = [r for r in rows for _ in maps]
-                continue
-            cols = [(self.columns(i, m, down), other.comps[i][m]) for m in small.comps[i]]
-            stride, repeat, sets = self.strides[i], self.repeats[i], []
-            for g in maps:
-                digits = -1
-                for col, k in cols:
-                    digits &= col[g.image[k]]
-                if stride > 1:  # widen each digit to the run of elements sharing it
-                    bits = bin(digits)[2:]
-                    digits = int(bits.replace("0", "0" * stride).replace("1", "1" * stride), 2)
-                sets.append(digits * repeat)
-            rows = [r & s for r in rows for s in sets]
-        return rows
+    A relation has as many columns as its transpose has rows.  Row ``r`` of
+    a factor and row ``s`` of the product of the ones after it, ``width``
+    columns wide, give ``s`` copied to every ``width``-wide run whose bit is
+    set in ``r``: ``r`` with bit ``j`` moved to bit ``j * width``, times ``s``.
+    """
+    rows, width = [1], 1
+    for relation, transpose in reversed(factors):
+        if width > 1:
+            wide = str.maketrans({"0": "0" * width, "1": "0" * (width - 1) + "1"})
+            relation = [int(bin(r)[2:].translate(wide), 2) for r in relation]
+        rows = [w * s for w in relation for s in rows]
+        width *= len(transpose)
+    return rows
 
 
 def semistar_poset(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> SemistarPoset:
@@ -504,10 +475,13 @@ def semistar_poset(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> Semistar
     Elements are sorted by (support, map images).  The identity is the
     minimum, the all-to-field operation the maximum; comparisons hold
     exactly when the supports are reverse-included and every shared branch
-    map is pointwise below.  The elements of one support are a product of
-    branch map lists, and so is each element's up-set inside a smaller
-    support, so the order is built one block of elements at a time from
-    per-branch bitmasks, with no pairwise comparison.
+    map is pointwise below.  The elements of one support (a block) are the
+    product of the branch map lists, each sorted by image, so an element's
+    index in its block is mixed-radix in its map indices.  Between a block
+    and one of a smaller support the order is the Kronecker product, over
+    the branches, of one relation each: the maps on the larger component
+    against the maps above them on the smaller one.  The down-sets are the
+    Kronecker product of the transposes, so no pair of elements is compared.
     """
     return _semistar_poset(t, limits)
 
@@ -515,46 +489,62 @@ def semistar_poset(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> Semistar
 @memo
 def _semistar_poset(t: SpectrumTree, limits: Limits) -> SemistarPoset:
     branch_ids = standard_decomposition(t)
-    if len(t.nodes) == 1:
-        element = SemistarElement(Support(0, frozenset({0})), ())
-        return SemistarPoset(FlaggedPoset(chain(1), frozenset({0})), (element,), branch_ids)
-
     _check_size(count_semistar(t, limits), limits)
     fstars = _branch_fstars(t, limits)
-    shared = {}  # the map lists of this build, which many blocks share
+    # shared by the blocks of this build: map lists, branch relations, their products
+    lists, relations, products = {}, {}, {}
 
     def map_list(i: int, component: Poset) -> list:
         """The maps of a component into branch ``i``, sorted by image; ``[None]`` if empty."""
         if not component.size:
             return [None]
-        if (i, component) not in shared:
+        if (i, component) not in lists:
             found = enum_hom(component, fstars[i].poset, max_maps=limits.max_maps)
-            shared[i, component] = sorted(found, key=lambda g: g.image)
-        return shared[i, component]
+            lists[i, component] = sorted(found, key=lambda g: g.image)
+        return lists[i, component]
+
+    def relation(i: int, big: tuple, small: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Branch ``i``'s relation between two ``(component, maps)``, and its transpose.
+
+        The component of ``small`` lies inside that of ``big``; a map on
+        ``big`` is related to the maps on ``small`` above it there.
+        """
+        key = (i, big[0], small[0])
+        if key not in relations:
+            (parts, outer), (inner_parts, inner) = big, small
+            at, here = [parts.index(mask) for mask in inner_parts], range(len(inner_parts))
+            fp = fstars[i].poset
+            relations[key] = (
+                _relation(outer, at, inner, here, fp.up_mask),
+                _relation(inner, here, outer, at, fp.down_mask),
+            )
+        return relations[key]
 
     blocks, elements, flags = [], [], set()
     # in ``Support.sort_key`` order, which is the order of the elements
     for support in enumerate_supports(len(fstars), max_branches=limits.max_branches):
-        block = _Block(support, fstars, len(elements), map_list)
-        blocks.append(block)
+        branches = [
+            (support.component(i), map_list(i, support.component_poset(i)[0]))
+            for i in range(len(fstars))
+        ]
+        blocks.append((support.masks, len(elements), branches))
         closing = support.contains_domain()  # then the domain is entry 0 of every map
-        for maps in cartesian(*block.lists):
+        for maps in cartesian(*(maps for _, maps in branches)):
             if closing and all(g.image[0] in f.ring_closing for g, f in zip(maps, fstars)):
                 flags.add(len(elements))
             elements.append(SemistarElement(support, maps))
     up, down = [0] * len(elements), [0] * len(elements)
-    for a, b in cartesian(blocks, repeat=2):
-        if not b.support.masks <= a.support.masks:
+    for (masks, a, bigs), (inside, b, smalls) in cartesian(blocks, repeat=2):
+        if not inside <= masks:
             continue
-        rows = b.rows(a, False)
-        for k, row in enumerate(rows, a.offset):
-            up[k] |= row << b.offset
-        if a.size > 1 and b.size > 1:
-            rows = a.rows(b, True)
-        else:  # one row or one column: transpose the up rows
-            rows = [sum((r >> j & 1) << k for k, r in enumerate(rows)) for j in range(b.size)]
-        for k, row in enumerate(rows, b.offset):
-            down[k] |= row << a.offset
+        factors = tuple(map(relation, range(len(fstars)), bigs, smalls))
+        if factors not in products:  # block pairs with equal relations share their rows
+            products[factors] = _kronecker(factors), _kronecker([(d, u) for u, d in factors])
+        ups, downs = products[factors]
+        for k, row in enumerate(ups, a):
+            up[k] |= row << b
+        for k, row in enumerate(downs, b):
+            down[k] |= row << a
     poset = Poset._unchecked(up, down)
     top = poset.unique_max()
     assert top is not None and elements[top].support.masks == frozenset({0})

@@ -459,7 +459,7 @@ class Support:
 
     branch_count: int
     masks: frozenset[int]
-    # computed once: every count looks up components many times
+    # computed once: the ordered set and element enumeration read components per branch
     _sorted: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _components: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 

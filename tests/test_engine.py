@@ -616,6 +616,24 @@ def test_branch_limit_enforced():
     assert count_fstar(t, Limits(max_branches=5)) == 1
 
 
+def test_products_over_five_branches_need_no_support_enumeration():
+    t = h_local([2] * 5, [2] * 5)
+    assert count_star(t) == 32
+    assert count_fstar(t) == 32
+    for count in (count_semistar, count_smstar):
+        with pytest.raises(EnumerationLimitError, match="limited to 4 branches, got 5"):
+            count(t)
+
+
+def test_a_deep_node_with_five_children_hits_the_branch_limit():
+    t = build_tree(
+        [("0", None, 1), ("P", "0", 1)] + [(f"M{i}", "P", 1, 1) for i in range(5)]
+    )
+    for call in (count_semistar, count_smstar, count_star, count_fstar, fstar_poset):
+        with pytest.raises(EnumerationLimitError, match="limited to 4 branches, got 5"):
+            call(t)
+
+
 # -- limits and large labels ------------------------------------------------------------
 
 

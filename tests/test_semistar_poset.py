@@ -14,7 +14,7 @@ from itertools import product as cartesian
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import h_local, random_tree
+from conftest import final_example, h_local, random_tree
 from test_acceptance import _oracle_lattice
 from test_differential import ORACLE_SHAPES
 from semistar import EnumerationLimitError, Limits, Poset, count_semistar, semistar_poset
@@ -122,3 +122,11 @@ def test_matches_pairwise_order_on_flat_three_branches_weight_two():
     limits = Limits(max_poset=3000)
     assert semistar_poset(t, limits).size == 2921
     _assert_matches_reference(t, limits)
+
+
+def test_matches_pairwise_order_on_the_readme_tree():
+    # the largest ordered set of the hasse benchmark: branch relations
+    # between lists of hundreds of maps, which the oracle lattice never reaches
+    t = final_example(2, 2, 2, (3, 1), (2, 1))
+    assert semistar_poset(t).size == 1162
+    _assert_matches_reference(t)

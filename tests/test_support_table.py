@@ -407,7 +407,7 @@ def test_limits_fire_cold_and_warm():
             count_semistar(quotient, Limits(max_poset=10))
         with pytest.raises(EnumerationLimitError, match="quotient 'P'"):
             count_smstar(quotient, Limits(max_poset=10))
-        with pytest.raises(EnumerationLimitError, match="limit is 3"):
+        with pytest.raises(EnumerationLimitError, match="limited to 3 branches, got 4"):
             count_semistar(flat, Limits(max_branches=3))
         with pytest.raises(EnumerationLimitError, match="limited to 3 branches"):
             support_table(4, True, max_branches=3)
