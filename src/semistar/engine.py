@@ -528,11 +528,16 @@ def _semistar_poset(t: SpectrumTree, limits: Limits) -> SemistarPoset:
             for i in range(len(fstars))
         ]
         blocks.append((support.masks, len(elements), branches))
-        closing = support.contains_domain()  # then the domain is entry 0 of every map
-        for maps in cartesian(*(maps for _, maps in branches)):
-            if closing and all(g.image[0] in f.ring_closing for g, f in zip(maps, fstars)):
-                flags.add(len(elements))
-            elements.append(SemistarElement(support, maps))
+        if support.contains_domain():  # then the domain is entry 0 of every map
+            # the flagged elements are mixed-radix in the flagged maps of each branch
+            offsets = [0]
+            for (_, maps), f in zip(branches, fstars):
+                starred = [j for j, g in enumerate(maps) if g.image[0] in f.ring_closing]
+                offsets = [o * len(maps) + j for o in offsets for j in starred]
+            flags.update(len(elements) + o for o in offsets)
+        elements.extend(
+            SemistarElement(support, maps) for maps in cartesian(*(maps for _, maps in branches))
+        )
     up, down = [0] * len(elements), [0] * len(elements)
     for (masks, a, bigs), (inside, b, smalls) in cartesian(blocks, repeat=2):
         if not inside <= masks:

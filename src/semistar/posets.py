@@ -419,45 +419,39 @@ def enum_hom(p: Poset, q: Poset, *, max_maps: int = DEFAULT_MAX_MAPS) -> list[Or
 
 # -- counting --------------------------------------------------------------------
 
-def _chain_count_values(p: Poset, n_max: int) -> list[int]:
-    """|hom(p, chain(n))| for n = 0..n_max, by a down-set dynamic program.
-
-    A map into an n-chain is the same thing as a weakly increasing chain of
-    n down-sets ending at the full set; each level of the program applies one
-    subset-sum (zeta) transform over the cube, zeroed outside the down-sets.
-    """
-    size = p.size
-    if size > DEFAULT_MAX_SIZE:
-        raise EnumerationLimitError(f"chain-count program limited to {DEFAULT_MAX_SIZE} elements")
-    is_down = [False] * (1 << size)
-    for m in _down_set_masks(p):
-        is_down[m] = True
-    full = (1 << size) - 1
-    g = [0] * (1 << size)
-    g[0] = 1
-    values = [g[full]]
-    for _ in range(n_max):
-        h = list(g)
-        for bit in range(size):
-            step = 1 << bit
-            for mask in range(1 << size):
-                if mask & step:
-                    h[mask] += h[mask ^ step]
-        g = [h[m] if is_down[m] else 0 for m in range(1 << size)]
-        values.append(g[full])
-    return values
-
-
 @memo
 def _chain_coeffs(p: Poset) -> tuple[int, ...]:
-    """|hom(p, chain(n))| as ``e`` with the count ``sum(e[k] * C(n, k))``; ``|p| + 1`` entries."""
+    """|hom(p, chain(n))| as ``e`` with the count ``sum(e[k] * C(n, k))``; ``|p| + 1`` entries.
+
+    A map onto a k-chain is the same thing as a strict chain of ``k`` steps
+    of down-sets from the empty set to all of ``p``, so ``e[k]`` counts
+    those chains in the lattice of down-sets (Stanley, EC1 3.12).  With
+    ``c_0`` the indicator of the empty set, ``c_k`` is the zeta transform
+    of ``c_{k-1}`` over the down-sets less ``c_{k-1}`` itself, and ``e[k]``
+    is its value at ``p``.  The zeta transform adds the elements in a
+    linear extension: a down-set ``D`` takes the value of ``D - x``
+    whenever ``x`` is maximal in ``D``.
+    """
     if p.size == 0 or p.is_chain():
         return _multiset_coefficients(p.size)
-    # Newton's forward differences at 0 are the coefficients of C(n, k)
-    values, coeffs = _chain_count_values(p, p.size), []
-    for _ in range(p.size + 1):
-        coeffs.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
+    if p.size > DEFAULT_MAX_SIZE:
+        raise EnumerationLimitError(f"chain-count program limited to {DEFAULT_MAX_SIZE} elements")
+    downs = _down_set_masks(p)  # ascending: the empty set first, all of ``p`` last
+    index = {d: i for i, d in enumerate(downs)}
+    steps = [
+        (i, index[d ^ 1 << x])
+        for x in _linear_extension(p)
+        for i, d in enumerate(downs)
+        if p.up_mask(x) & d == 1 << x
+    ]
+    c = [1] + [0] * (len(downs) - 1)
+    coeffs = [0]
+    for _ in range(p.size):
+        h = list(c)
+        for i, j in steps:
+            h[i] += h[j]
+        c = [a - b for a, b in zip(h, c)]
+        coeffs.append(c[-1])
     return tuple(coeffs)
 
 

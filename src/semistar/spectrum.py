@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -515,17 +516,15 @@ class Support:
         return "{" + ", ".join(names) + "}"
 
 
+def _reverse_inclusion(masks: Sequence[int]) -> Poset:
+    """The masks by index, ``a`` below ``b`` when ``a`` contains ``b`` (ring inclusion)."""
+    return Poset._unchecked([sum(1 << j for j, b in enumerate(masks) if a & b == b) for a in masks])
+
+
 @memo
 def _component_poset(masks: tuple[int, ...], full_mask: int) -> tuple[Poset, int | None]:
-    pairs = [
-        (i, j)
-        for i, a in enumerate(masks)
-        for j, b in enumerate(masks)
-        if a & b == b
-    ]
-    poset = Poset.from_relation(len(masks), pairs)
     d_index = masks.index(full_mask) if full_mask in masks else None
-    return poset, d_index
+    return _reverse_inclusion(masks), d_index
 
 
 class SupportTable:
@@ -540,36 +539,37 @@ class SupportTable:
     supports containing the domain.  Columns are ``bytes`` while the shape
     ids fit, so a table for four branches holds about 20 kB.
 
-    The table is read from the family bitsets of :func:`_families`, with no
-    :class:`Support` built: a branch's component is the family's bitset
-    masked by that branch, and each distinct component bitset is sorted
-    into a poset and given its shape id once.  Rows and shape ids come in
-    canonical support order.
+    The table is read from the family bitsets of :func:`_union_closed`, with
+    no :class:`Support` built: a branch's component is the family's bitset
+    masked by that branch.  A component is ordered as its link, the family
+    over ``m - 1`` branches left when that branch's bit is taken out of
+    each of its masks, so each distinct link is sorted into a poset once
+    (at most 122 at four branches).  Rows and shape ids come in generation
+    order, not in canonical support order; a sum over the table does not
+    depend on it.
     """
 
     __slots__ = ("shapes", "columns", "multiplicity")
 
     def __init__(self, m: int, closing: bool):
         full = (1 << m) - 1
-        inside = _inside(m)
+        families = _union_closed(m)
+        if closing:
+            families = [family for family in families if family >> full & 1]
         ids: dict[tuple[Poset, int | None], int] = {}
-        shape_of: dict[int, int] = {}  # component bitset -> shape id
-        rows: dict[tuple[int, ...], int] = {}
-        for family in _families(m):
-            if closing and not family >> full & 1:
-                continue
-            row = []
-            for part in inside:
-                component = family & part
-                shape = shape_of.get(component)
-                if shape is None:
-                    masks = tuple(sorted(_iter_bits(component), key=_component_sort_key))
-                    poset, d_index = _component_poset(masks, full)
-                    key = (poset, d_index if closing else None)
-                    shape = shape_of[component] = ids.setdefault(key, len(ids))
-                row.append(shape)
-            row = tuple(row)
-            rows[row] = rows.get(row, 0) + 1
+        by_link: dict[int, int] = {}  # link bitset -> shape id
+        columns = []
+        for b, part in enumerate(_inside(m)):
+            shape_of = {}  # component bitset -> shape id
+            for component in dict.fromkeys(family & part for family in families):
+                link = _link(component, b)
+                if link not in by_link:
+                    masks = tuple(sorted(_iter_bits(link), key=_component_sort_key))
+                    d_index = masks.index(full >> 1) if closing else None
+                    by_link[link] = ids.setdefault((_reverse_inclusion(masks), d_index), len(ids))
+                shape_of[component] = by_link[link]
+            columns.append([shape_of[family & part] for family in families])
+        rows = Counter(zip(*columns)) if m else Counter({(): len(families)})
         self.shapes = tuple(ids)
         columns = ([row[i] for row in rows] for i in range(m))
         self.columns = tuple(bytes(c) if len(ids) <= 256 else array("I", c) for c in columns)
@@ -579,6 +579,17 @@ class SupportTable:
 def _inside(m: int) -> tuple[int, ...]:
     """Per branch, the bitset of the masks over ``m`` branches that contain it."""
     return tuple(sum(1 << s for s in range(1 << m) if s >> b & 1) for b in range(m))
+
+
+def _link(component: int, b: int) -> int:
+    """A component of branch ``b`` with bit ``b`` taken out of each mask, as a bitset.
+
+    Every mask of the component holds bit ``b``; the bits above it move
+    down one place.  Taking out a bit every mask holds keeps both the
+    inclusions and the sort order, so the link orders like the component.
+    """
+    low = (1 << b) - 1
+    return sum(1 << (s & low | s >> 1 & ~low) for s in _iter_bits(component))
 
 
 def _family_key(family: int, width: int):
@@ -592,37 +603,55 @@ def _family_key(family: int, width: int):
 
 
 @memo
+def _union_closed(m: int) -> tuple[int, ...]:
+    """The supports over ``m`` branches as bitsets over the masks, in generation order.
+
+    Bit ``s`` of a family is set when mask ``s`` is in it.  A family splits
+    at its last branch into ``A``, its masks without that branch, and ``B``,
+    the masks with it, that bit removed.  ``A`` is a support over ``m - 1``
+    branches and ``B`` is one with or without its empty mask (so ``B`` may
+    be empty), and the family ``A | B << 2^(m-1)`` is union-closed exactly
+    when ``a | b`` is in ``B`` for every ``a`` in ``A`` and ``b`` in ``B``.
+    So each mask ``a`` gets one bitset over the candidates ``B``, marking
+    those closed under ``| a``, and the ``B`` that fit an ``A`` are the
+    ``and`` of the bitsets of its masks (Brinkmann & Deklerck, "Generation
+    of union-closed sets and Moore families", J. Integer Sequences, 2018).
+    """
+    if m == 0:
+        return (1,)
+    smaller = _union_closed(m - 1)
+    half = 1 << m - 1
+    candidates = smaller + tuple(family ^ 1 for family in smaller)
+    everything, inside = (1 << half) - 1, _inside(m - 1)
+    closed = [0]
+    for a in range(1, half):
+        # per branch in ``a``: the masks without it move up by its bit, the ones with it stay
+        steps = [(everything ^ part, 1 << j, part) for j, part in enumerate(inside) if a >> j & 1]
+        fits = 0
+        for k, family in enumerate(candidates):
+            joined = family  # becomes the bitset of ``b | a`` over the masks ``b`` of the family
+            for move, shift, stay in steps:
+                joined = (joined & move) << shift | joined & stay
+            if not joined & ~family:
+                fits |= 1 << k
+        closed.append(fits)
+    shifted = [family << half for family in candidates]
+    found = []
+    for low in smaller:
+        fits = (1 << len(candidates)) - 1
+        for a in _iter_bits(low ^ 1):  # the empty mask of ``A`` constrains nothing
+            fits &= closed[a]
+        found.extend(low | shifted[k] for k in _iter_bits(fits))
+    return tuple(found)
+
+
+@memo
 def _families(m: int) -> tuple[int, ...]:
     """The supports over ``m`` branches as bitsets over the masks, sorted canonically.
 
-    Bit ``s`` of a family is set when mask ``s`` is in it.  See
-    :func:`enumerate_supports` for the search.
+    The families of :func:`_union_closed`, in :meth:`Support.sort_key` order.
     """
-    subsets = sorted(range(1, 1 << m), key=lambda s: (s.bit_count(), s))
-    everything, inside = (1 << (1 << m)) - 1, _inside(m)
-    # per subset and branch in it: the masks without the branch, which move
-    # up by its bit when it joins them, and the masks with it, which stay
-    steps = [
-        [(everything ^ part, 1 << b, part) for b, part in enumerate(inside) if s >> b & 1]
-        for s in subsets
-    ]
-    found: list[int] = []
-
-    def extend(k: int, family: int, unions: int):
-        if k == len(subsets):
-            found.append(family)
-            return
-        s = subsets[k]
-        if not unions >> s & 1:
-            extend(k + 1, family, unions)
-        joined = family  # becomes the bitset of ``a | s`` over the masks ``a`` of the family
-        for move, shift, stay in steps[k]:
-            joined = (joined & move) << shift | joined & stay
-        extend(k + 1, family | 1 << s, unions | joined)
-
-    extend(0, 1, 0)
-    found.sort(key=lambda family: _family_key(family, 1 << m))
-    return tuple(found)
+    return tuple(sorted(_union_closed(m), key=lambda family: _family_key(family, 1 << m)))
 
 
 @memo
@@ -644,14 +673,10 @@ def _check_branches(m: int, max_branches: int) -> None:
 def enumerate_supports(
     source: SpectrumTree | int, *, max_branches: int = DEFAULT_MAX_BRANCHES
 ) -> tuple[Support, ...]:
-    """All supports over ``m`` branches, by depth-first closure generation.
+    """All supports over ``m`` branches, sorted canonically (:meth:`Support.sort_key`).
 
-    Nonempty masks are decided in an order compatible with union (by
-    popcount, then value).  A family is a bitset over the masks, and the
-    search carries a second bitset, the unions of pairs of chosen masks,
-    which grows by one ``or`` per chosen mask; a mask already in it is
-    forced in, which makes every union-closed family appear exactly once.
-    Output is sorted canonically.
+    The families come from :func:`_union_closed`, which builds those over
+    ``m`` branches from those over ``m - 1``, each exactly once.
     """
     if isinstance(source, SpectrumTree):
         m = len(standard_decomposition(source))

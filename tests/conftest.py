@@ -110,15 +110,22 @@ def iter_bits(mask):
     return list(_iter_bits(mask))
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def fresh_env(**overrides):
+    """The environment of this process for a new interpreter: ``src`` first on its path."""
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return env
+
+
 def run_fresh(script):
     """Run ``script`` in a new interpreter at the repository root, with empty caches."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(root, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
     return subprocess.run(
-        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True
+        [sys.executable, "-c", script], cwd=ROOT, env=fresh_env(), capture_output=True, text=True
     )
 
 

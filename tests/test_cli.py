@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_fresh
+from conftest import fresh_env, run_fresh
 from semistar.cli import main
 
 FEX = {
@@ -199,11 +199,10 @@ def test_bound_exceeded_exit_2(tmp_path, capsys):
 
 def test_max_maps_env(fex_path):
     # a fresh process, so the env var really drives the default
-    import os
     import subprocess
     import sys
 
-    env = dict(os.environ, SEMISTAR_MAX_MAPS="1")
+    env = fresh_env(SEMISTAR_MAX_MAPS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "semistar.cli", "hasse", fex_path, "--target", "semistar"],
         capture_output=True,
@@ -315,7 +314,7 @@ def test_hasse_labels_name_each_element_by_its_support(fex_path, capsys):
 
 
 def test_deeply_nested_json_exit_3(tmp_path):
-    from conftest import run_fresh
+    from conftest import fresh_env, run_fresh
 
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,8 @@ from semistar import (
 )
 from semistar import cache_info, clear_caches
 from semistar.oracle import brute_count_hom
-from semistar.posets import _chain_coeffs, hom_coefficients
+from semistar.polynomials import binomial_value
+from semistar.posets import _backtrack_count, _chain_coeffs, hom_coefficients
 
 posets = st.integers(0, 10_000).map(lambda seed: random_poset(random.Random(seed)))
 
@@ -263,6 +265,20 @@ def test_chain_coefficients_count_surjections(p):
     for s, coefficient in enumerate(e):
         onto = sum(1 for g in enum_hom(p, chain(s)) if len(set(g.image)) == s)
         assert coefficient == onto
+
+
+def test_chain_coefficients_of_larger_posets_match_backtracking():
+    rng = random.Random(11)
+    for p in [random_poset(rng, max_size=10) for _ in range(12)] + [antichain(7)]:
+        e = _chain_coeffs(p)
+        for n in range(4):
+            assert binomial_value(e, n) == _backtrack_count(p, chain(n), None)
+
+
+def test_chain_coefficients_keep_their_size_limit():
+    assert binomial_value(_chain_coeffs(chain(25)), 3) == comb(27, 25)  # closed form, no limit
+    with pytest.raises(EnumerationLimitError, match="^chain-count program limited to 20 elements$"):
+        _chain_coeffs(antichain(21))
 
 
 def test_answers_unchanged_past_the_chain_coefficient_cap(cache_bound):

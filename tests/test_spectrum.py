@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import final_example, h_local, valuation, y_tree
+from conftest import final_example, h_local, iter_bits, run_fresh, valuation, y_tree
 from semistar import (
     EnumerationLimitError,
     SpectrumValidationError,
@@ -21,8 +21,8 @@ from semistar import (
     subposet,
     validate_tree,
 )
-from semistar.oracle import brute_supports
-from semistar.spectrum import IDEMPOTENT, NONIDEMPOTENT, Support
+from semistar.oracle import _brute_support_families, brute_supports
+from semistar.spectrum import IDEMPOTENT, NONIDEMPOTENT, Support, _families, _union_closed
 
 
 def test_y_shape_is_valid():
@@ -162,6 +162,40 @@ def test_supports_are_valid_and_unique():
     families = {s.masks for s in supports}
     assert frozenset({0}) in families
     assert frozenset({0, 0b111}) in families
+
+
+def test_families_are_the_brute_force_filter_in_its_order():
+    for m in range(5):
+        families = [frozenset(iter_bits(family)) for family in _families(m)]
+        assert families == _brute_support_families(m)
+
+
+def test_the_generator_lists_each_family_once():
+    for m in range(5):
+        families = _union_closed(m)
+        assert len(set(families)) == len(families) == len(_families(m))
+        assert set(families) == set(_families(m))
+
+
+_FIVE_BRANCHES_SCRIPT = (
+    "from semistar import EnumerationLimitError\n"
+    "from semistar.spectrum import _union_closed, enumerate_supports, support_table\n"
+    "print(len(_union_closed(5)))\n"
+    "for build in (enumerate_supports, lambda m: support_table(m, False),\n"
+    "              lambda m: support_table(m, True)):\n"
+    "    try:\n"
+    "        build(5)\n"
+    "    except EnumerationLimitError as error:\n"
+    "        print(error)\n"
+)
+
+
+def test_five_branches_generate_but_stay_over_the_default_limit():
+    # a fresh process, so no memo of this session holds the 1.4 million families
+    fresh = run_fresh(_FIVE_BRANCHES_SCRIPT)
+    assert fresh.returncode == 0, fresh.stderr
+    limit = "support enumeration limited to 4 branches, got 5"
+    assert fresh.stdout.splitlines() == ["1385552", limit, limit, limit]
 
 
 def test_support_invariants_enforced():
