@@ -1,7 +1,8 @@
 """Command-line front end: counts, polynomials, Hasse exports, oracle checks.
 
-Exit codes: 0 success, 1 tree-validation failure (or failed oracle check),
-2 enumeration bound exceeded, 3 malformed input or unknown node id.
+Exit codes: 0 success (``--help`` included), 1 tree-validation failure (or
+failed oracle check), 2 enumeration bound exceeded, 3 malformed input, unknown
+node id or a usage error.
 """
 
 from __future__ import annotations
@@ -218,7 +219,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_BAD_INPUT
     try:
         return _COMMANDS[args.command](args)
     except SpectrumValidationError as exc:

@@ -32,12 +32,14 @@ and 2 combine as ``C(eps, 0) (2 P(1) - P(2)) + C(eps, 1) (P(2) - P(1))``.
 Every polynomial answer is one ``MultiPoly.from_binomial``, with no
 polynomial arithmetic on the way.  The weight chain is never built to count.
 A support's term depends only on its component shapes, so the sum runs over
-a table fixed by the branch count (``spectrum.support_table``: 2 480
-supports but 38 shapes at four branches): each branch's factor is taken
-once per shape and multiplied into the rows column by column.  The table is
-read from the supports as integer bitsets over the skeleton masks, so
-counts and polynomials build no ``Support``; only the ordered set and
-element enumeration walk ``enumerate_supports``.  The tests check the
+one table per branch count (``spectrum.support_table``: 2 480 supports but
+38 shapes at four branches): each branch's factor is taken once per shape
+and multiplied into the rows column by column.  The table has two
+multiplicity columns, the supports of each row and those of them that
+contain the domain, so the domain-closing sum reads the same rows.  The
+table is read from the supports as integer bitsets over the skeleton
+masks, so counts and polynomials build no ``Support``; only the ordered set
+and element enumeration walk ``enumerate_supports``.  The tests check the
 counts against element enumeration (``semistar_element_counts``),
 materialization (``semistar_poset``), the brute-force oracle and
 interpolation.
@@ -311,11 +313,15 @@ def tildhom_count(
 
 
 @memo
-def _term(record: _Branch, component: Poset, d_index: int | None, limits: Limits):
-    """One branch's factor for one support, in C(n, k); ``(1,)`` if the support misses it."""
+def _term(record: _Branch, component: Poset, closing: bool, limits: Limits):
+    """One branch's factor for one support, in C(n, k); ``(1,)`` if the support misses it.
+
+    ``closing`` sends the component's element 0, its minimum, to a
+    ring-closing element.
+    """
     if not component.size:
         return (1,)
-    return tildhom_count(component, d_index, record.tree, limits)
+    return tildhom_count(component, 0 if closing else None, record.tree, limits)
 
 
 def _support_sum(
@@ -323,10 +329,11 @@ def _support_sum(
 ) -> dict[tuple[int, ...], int]:
     """Sum over supports of the product of the branch factors, in the binomial basis.
 
-    ``closing`` keeps the supports containing the domain and sends it to
-    ring-closing elements.  The supports come as a shape table (a column of
-    component shapes per branch, identical rows merged, every shape in every
-    column), so each branch takes its factor once per shape.  A branch at
+    The supports come as one shape table (a column of component shapes per
+    branch, identical rows merged, every shape in every column), so each
+    branch takes its factor once per shape.  ``closing`` counts a row by
+    its supports containing the domain, the table's second multiplicity
+    column, and sends the domain to ring-closing elements.  A branch at
     its label is folded into the row multiplicities one column at a time.
     The root children in ``symbolic`` stay polynomials in their weights:
     rows are grouped by their symbolic shapes and expanded into one dict
@@ -334,10 +341,10 @@ def _support_sum(
     k_s)``, indices in branch order.  A count is its ``()`` entry.
     """
     records = _branches(t, limits)
-    table = support_table(len(records), closing, max_branches=limits.max_branches)
-    acc, kept = list(table.multiplicity), []
+    table = support_table(len(records), max_branches=limits.max_branches)
+    acc, kept = list(table.closing if closing else table.multiplicity), []
     for record, column in zip(records, table.columns):
-        factors = [_term(record, component, d, limits) for component, d in table.shapes]
+        factors = [_term(record, component, closing, limits) for component in table.shapes]
         if record.child in symbolic:
             kept.append((column, [[(k, c) for k, c in enumerate(f) if c] for f in factors]))
         else:
@@ -347,7 +354,8 @@ def _support_sum(
         return {(): sum(acc)}
     groups: dict[tuple[int, ...], int] = {}
     for key, factor in zip(zip(*(column for column, _ in kept)), acc):
-        groups[key] = groups.get(key, 0) + factor
+        if factor:
+            groups[key] = groups.get(key, 0) + factor
     total: dict[tuple[int, ...], int] = {}
     for key, factor in groups.items():
         term = {(): factor}
@@ -439,14 +447,14 @@ def _relation(rows: list, row_at, cols: list, col_at, cone) -> tuple[int, ...]:
     """
     out = [(1 << len(cols)) - 1] * len(rows)
     for p, k in zip(row_at, col_at):
-        files = {}
+        files, present = {}, 0  # ``present``: the images that have a file
         for j, c in enumerate(cols):
             q = c.image[k]
             files[q] = files.get(q, 0) | 1 << j
+            present |= 1 << q
         column = {}
         for q in {r.image[p] for r in rows}:
-            mask = cone(q)
-            column[q] = sum(js for image, js in files.items() if mask >> image & 1)
+            column[q] = sum(files[i] for i in _iter_bits(cone(q) & present))
         out = [bits & column[r.image[p]] for bits, r in zip(out, rows)]
     return tuple(out)
 

@@ -49,7 +49,7 @@ class TreeNode:
 class SpectrumTree:
     """A validated spectral tree.  Use :func:`validate_tree` or :func:`build_tree`."""
 
-    __slots__ = ("nodes", "root_id", "_by_id", "_children", "_hash")
+    __slots__ = ("nodes", "root_id", "_by_id", "_children", "_key", "_hash")
 
     def __init__(self, nodes: Sequence[TreeNode], _problems_checked: bool = False):
         if not _problems_checked:
@@ -70,9 +70,9 @@ class SpectrumTree:
         object.__setattr__(self, "root_id", root_id)
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_children", {k: tuple(v) for k, v in children.items()})
-        object.__setattr__(
-            self, "_hash", hash(tuple(sorted(self.nodes, key=lambda n: n.id)))
-        )
+        # the nodes by id: equality and hash read them, so memo hits sort nothing
+        object.__setattr__(self, "_key", tuple(sorted(self.nodes, key=lambda n: n.id)))
+        object.__setattr__(self, "_hash", hash(self._key))
 
     def __setattr__(self, name, value):
         raise AttributeError("SpectrumTree is immutable")
@@ -117,9 +117,7 @@ class SpectrumTree:
         return value
 
     def __eq__(self, other):
-        return isinstance(other, SpectrumTree) and sorted(
-            self.nodes, key=lambda n: n.id
-        ) == sorted(other.nodes, key=lambda n: n.id)
+        return isinstance(other, SpectrumTree) and self._key == other._key
 
     def __hash__(self):
         return self._hash
@@ -509,6 +507,7 @@ class Support:
         return _component_poset(self.component(branch), self.full_mask)
 
     def sort_key(self):
+        """The canonical order of supports: size, then the masks in ascending order."""
         return (len(self.masks), tuple(sorted(self.masks)))
 
     def label(self, branch_ids: Sequence[str]) -> str:
@@ -531,13 +530,14 @@ class SupportTable:
     """The supports over ``m`` branches, reduced to the shapes of their components.
 
     A support enters a support sum only through its component posets, one
-    per branch, so the sum needs just: ``shapes``, the distinct pairs
-    ``(component poset, domain index)`` (the index is ``None`` in the table
-    for the sum over all supports); ``columns[i]``, each row's shape id at
-    branch ``i``; and ``multiplicity``, the number of supports with that row
-    (identical rows are merged).  The domain-closing table keeps only the
-    supports containing the domain.  Columns are ``bytes`` while the shape
-    ids fit, so a table for four branches holds about 20 kB.
+    per branch, so the sum needs just: ``shapes``, the distinct component
+    posets; ``columns[i]``, each row's shape id at branch ``i``;
+    ``multiplicity``, the number of supports with that row (identical rows
+    are merged); and ``closing``, how many of those contain the domain.  A
+    component is union-closed, so its union, which holds the most bits,
+    sorts first: a shape's element 0 is its minimum, the domain when the
+    support contains it.  Columns are ``bytes`` while the shape ids fit, so
+    a table for four branches holds about 20 kB.
 
     The table is read from the family bitsets of :func:`_union_closed`, with
     no :class:`Support` built: a branch's component is the family's bitset
@@ -549,14 +549,12 @@ class SupportTable:
     depend on it.
     """
 
-    __slots__ = ("shapes", "columns", "multiplicity")
+    __slots__ = ("shapes", "columns", "multiplicity", "closing")
 
-    def __init__(self, m: int, closing: bool):
+    def __init__(self, m: int):
         full = (1 << m) - 1
         families = _union_closed(m)
-        if closing:
-            families = [family for family in families if family >> full & 1]
-        ids: dict[tuple[Poset, int | None], int] = {}
+        ids: dict[Poset, int] = {}
         by_link: dict[int, int] = {}  # link bitset -> shape id
         columns = []
         for b, part in enumerate(_inside(m)):
@@ -565,15 +563,17 @@ class SupportTable:
                 link = _link(component, b)
                 if link not in by_link:
                     masks = tuple(sorted(_iter_bits(link), key=_component_sort_key))
-                    d_index = masks.index(full >> 1) if closing else None
-                    by_link[link] = ids.setdefault((_reverse_inclusion(masks), d_index), len(ids))
+                    by_link[link] = ids.setdefault(_reverse_inclusion(masks), len(ids))
                 shape_of[component] = by_link[link]
             columns.append([shape_of[family & part] for family in families])
-        rows = Counter(zip(*columns)) if m else Counter({(): len(families)})
+        keys = list(zip(*columns)) if m else [()] * len(families)
+        rows = Counter(keys)
+        closing = Counter(key for key, family in zip(keys, families) if family >> full & 1)
         self.shapes = tuple(ids)
         columns = ([row[i] for row in rows] for i in range(m))
         self.columns = tuple(bytes(c) if len(ids) <= 256 else array("I", c) for c in columns)
         self.multiplicity = array("I", rows.values())
+        self.closing = array("I", (closing[row] for row in rows))
 
 
 def _inside(m: int) -> tuple[int, ...]:
@@ -590,16 +590,6 @@ def _link(component: int, b: int) -> int:
     """
     low = (1 << b) - 1
     return sum(1 << (s & low | s >> 1 & ~low) for s in _iter_bits(component))
-
-
-def _family_key(family: int, width: int):
-    """:meth:`Support.sort_key` of a family bitset of ``width`` bits.
-
-    Two ascending mask lists of one length first differ where the smaller
-    holds the lowest mask of the symmetric difference, so they compare as
-    the bitsets read backwards, the larger first.
-    """
-    return (family.bit_count(), -int(format(family, f"0{width}b")[::-1], 2))
 
 
 @memo
@@ -646,18 +636,10 @@ def _union_closed(m: int) -> tuple[int, ...]:
 
 
 @memo
-def _families(m: int) -> tuple[int, ...]:
-    """The supports over ``m`` branches as bitsets over the masks, sorted canonically.
-
-    The families of :func:`_union_closed`, in :meth:`Support.sort_key` order.
-    """
-    return tuple(sorted(_union_closed(m), key=lambda family: _family_key(family, 1 << m)))
-
-
-@memo
 def _supports(m: int) -> tuple[Support, ...]:
     """The supports over ``m`` branches as :class:`Support` objects, sorted canonically."""
-    return tuple(Support(m, frozenset(_iter_bits(family))) for family in _families(m))
+    supports = (Support(m, frozenset(_iter_bits(family))) for family in _union_closed(m))
+    return tuple(sorted(supports, key=Support.sort_key))
 
 
 def _check_branches(m: int, max_branches: int) -> None:
@@ -686,18 +668,16 @@ def enumerate_supports(
     return _supports(m)
 
 
-def support_table(
-    m: int, closing: bool, *, max_branches: int = DEFAULT_MAX_BRANCHES
-) -> SupportTable:
+def support_table(m: int, *, max_branches: int = DEFAULT_MAX_BRANCHES) -> SupportTable:
     """The shape table of the supports over ``m`` branches (see :class:`SupportTable`).
 
     The branch limit is that of :func:`enumerate_supports`; no
     :class:`Support` is built.
     """
     _check_branches(m, max_branches)
-    return _support_table(m, closing)
+    return _support_table(m)
 
 
 @memo
-def _support_table(m: int, closing: bool) -> SupportTable:
-    return SupportTable(m, closing)
+def _support_table(m: int) -> SupportTable:
+    return SupportTable(m)

@@ -265,6 +265,26 @@ def test_missing_file_exit_3(capsys):
     assert code == 3
 
 
+def test_usage_errors_exit_3_and_help_exits_0(fex_path, capsys):
+    # exit 2 means an enumeration bound, so argparse's own usage exit is not passed on
+    for argv in (["count"], ["count", fex_path, "--max-branches", "x"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("usage: semistar count")
+    code, out, _ = run(capsys, "count", "--help")
+    assert code == 0 and out.startswith("usage: semistar count")
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "semistar.cli", "count"],
+        capture_output=True,
+        text=True,
+        env=fresh_env(),
+    )
+    assert proc.returncode == 3 and proc.stderr.startswith("usage: semistar count")
+
+
 def _write(tmp_path, name, nodes):
     path = tmp_path / name
     path.write_text(json.dumps({"nodes": nodes}))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import final_example, h_local, iter_bits, run_fresh, valuation, y_tree
+from conftest import final_example, h_local, run_fresh, valuation, y_tree
 from semistar import (
     EnumerationLimitError,
     SpectrumValidationError,
@@ -22,7 +22,7 @@ from semistar import (
     validate_tree,
 )
 from semistar.oracle import _brute_support_families, brute_supports
-from semistar.spectrum import IDEMPOTENT, NONIDEMPOTENT, Support, _families, _union_closed
+from semistar.spectrum import IDEMPOTENT, NONIDEMPOTENT, Support, _union_closed
 
 
 def test_y_shape_is_valid():
@@ -166,23 +166,23 @@ def test_supports_are_valid_and_unique():
 
 def test_families_are_the_brute_force_filter_in_its_order():
     for m in range(5):
-        families = [frozenset(iter_bits(family)) for family in _families(m)]
+        families = [support.masks for support in enumerate_supports(m)]
         assert families == _brute_support_families(m)
 
 
 def test_the_generator_lists_each_family_once():
     for m in range(5):
         families = _union_closed(m)
-        assert len(set(families)) == len(families) == len(_families(m))
-        assert set(families) == set(_families(m))
+        brute = {sum(1 << s for s in family) for family in _brute_support_families(m)}
+        assert len(set(families)) == len(families) == len(brute)
+        assert set(families) == brute
 
 
 _FIVE_BRANCHES_SCRIPT = (
     "from semistar import EnumerationLimitError\n"
     "from semistar.spectrum import _union_closed, enumerate_supports, support_table\n"
     "print(len(_union_closed(5)))\n"
-    "for build in (enumerate_supports, lambda m: support_table(m, False),\n"
-    "              lambda m: support_table(m, True)):\n"
+    "for build in (enumerate_supports, support_table):\n"
     "    try:\n"
     "        build(5)\n"
     "    except EnumerationLimitError as error:\n"
@@ -195,7 +195,7 @@ def test_five_branches_generate_but_stay_over_the_default_limit():
     fresh = run_fresh(_FIVE_BRANCHES_SCRIPT)
     assert fresh.returncode == 0, fresh.stderr
     limit = "support enumeration limited to 4 branches, got 5"
-    assert fresh.stdout.splitlines() == ["1385552", limit, limit, limit]
+    assert fresh.stdout.splitlines() == ["1385552", limit, limit]
 
 
 def test_support_invariants_enforced():
@@ -299,6 +299,10 @@ def test_json_round_trip_and_dot():
     t = final_example(3, 2, eps_n=2)
     again = validate_tree(json.loads(t.to_json()))
     assert again == t
+    # equality and hash ignore the node order, and every label counts
+    shuffled = build_tree(reversed(t.nodes))
+    assert shuffled == t and hash(shuffled) == hash(t)
+    assert t.with_labels(omega={"N": 4}) != t
     dot = t.to_dot()
     assert "omega=3" in dot and "eps=2" in dot
     assert t.to_dot() == t.to_dot()

@@ -30,6 +30,7 @@ from semistar import (
     EnumerationLimitError,
     Limits,
     MultiPoly,
+    Poset,
     build_tree,
     clear_caches,
     count_semistar,
@@ -202,43 +203,51 @@ def _rows_by_support(m, closing):
         shapes = []
         for i in range(m):
             component, d_index = support.component_poset(i)
-            shapes.append((component, d_index if closing else None))
+            # the domain, when the support holds it, is element 0 of each component
+            assert d_index == (0 if support.contains_domain() else None)
+            shapes.append(component)
         rows[tuple(shapes)] += 1
     return rows
 
 
-def _rows_as_shapes(table):
+def _rows_as_shapes(table, multiplicity):
     rows = Counter()
-    ids = zip(*table.columns) if table.columns else [()] * len(table.multiplicity)
-    for row, count in zip(ids, table.multiplicity):
-        rows[tuple(table.shapes[s] for s in row)] += count
+    ids = zip(*table.columns) if table.columns else [()] * len(multiplicity)
+    for row, count in zip(ids, multiplicity):
+        if count:
+            rows[tuple(table.shapes[s] for s in row)] += count
     return rows
 
 
 def test_tables_count_every_support_once():
     for m, (supports, closing) in enumerate([(1, 1), (2, 1), (7, 4), (61, 45), (2480, 2271)]):
-        every, domain = support_table(m, False), support_table(m, True)
-        assert sum(every.multiplicity) == supports == len(enumerate_supports(m))
-        assert sum(domain.multiplicity) == closing
-        for table in (every, domain):
-            assert len(table.columns) == m
-            assert all(len(c) == len(table.multiplicity) for c in table.columns)
-            assert all(s < len(table.shapes) for c in table.columns for s in c)
-            # every branch meets every shape, so the support sum needs each shape's factor
-            assert all(set(c) == set(range(len(table.shapes))) for c in table.columns)
-        assert all(d is None for _, d in every.shapes)
-        # the tables read family bitsets; the supports give the same rows one by one
-        assert _rows_as_shapes(every) == _rows_by_support(m, False)
-        assert _rows_as_shapes(domain) == _rows_by_support(m, True)
+        table = support_table(m)
+        assert sum(table.multiplicity) == supports == len(enumerate_supports(m))
+        assert sum(table.closing) == closing
+        assert len(table.columns) == m
+        assert len(table.closing) == len(table.multiplicity)
+        assert all(c <= n for c, n in zip(table.closing, table.multiplicity))
+        assert all(len(c) == len(table.multiplicity) for c in table.columns)
+        assert all(s < len(table.shapes) for c in table.columns for s in c)
+        # every branch meets every shape, so the support sum needs each shape's factor
+        assert all(set(c) == set(range(len(table.shapes))) for c in table.columns)
+        assert all(isinstance(shape, Poset) for shape in table.shapes)
+        # the table reads family bitsets; the supports give the same rows one by one
+        assert _rows_as_shapes(table, table.multiplicity) == _rows_by_support(m, False)
+        assert _rows_as_shapes(table, table.closing) == _rows_by_support(m, True)
         supports = enumerate_supports(m)
         assert list(supports) == sorted(supports, key=Support.sort_key)
-    # the distinct component shapes at four branches
-    assert (len(support_table(4, False).shapes), len(support_table(4, True).shapes)) == (38, 37)
+    # the distinct component shapes at four branches; the domain-closing rows use all
+    # but the empty one
+    table = support_table(4)
+    closing_rows = [row for row, c in zip(zip(*table.columns), table.closing) if c]
+    closing_shapes = {table.shapes[s] for row in closing_rows for s in row}
+    assert (len(table.shapes), len(closing_shapes)) == (38, 37)
+    assert all(shape.size for shape in closing_shapes)
 
 
 def test_tables_and_supports_share_the_branch_limit():
-    every, closing = (lambda m: support_table(m, False)), (lambda m: support_table(m, True))
-    for supports_or_table in (enumerate_supports, every, closing):
+    for supports_or_table in (enumerate_supports, support_table):
         with pytest.raises(
             EnumerationLimitError, match="^support enumeration limited to 4 branches, got 5$"
         ):
@@ -267,7 +276,7 @@ def test_counts_and_polynomials_build_no_support():
     semistar, at_labels, smstar, supports_built = fresh.stdout.splitlines()
     assert int(semistar) == int(at_labels) == count_semistar(t)
     assert int(smstar) == count_smstar(t)
-    assert supports_built == "0 2"  # both shape tables, and not one Support
+    assert supports_built == "0 1"  # one shape table, and not one Support
 
 
 def test_each_branch_takes_one_term_per_shape():
@@ -275,16 +284,16 @@ def test_each_branch_takes_one_term_per_shape():
     calls = []
     real = engine._term
 
-    def counted(record, component, d_index, limits):
-        calls.append((record.child, component, d_index))
-        return real(record, component, d_index, limits)
+    def counted(record, component, closing, limits):
+        calls.append((record.child, component, closing))
+        return real(record, component, closing, limits)
 
     for closing, count in ((False, count_semistar), (True, count_smstar)):
         calls.clear()
         with mock.patch.object(engine, "_term", counted):
             count(t)
         assert len(calls) == len(set(calls))
-        shapes = len(support_table(4, closing).shapes)
+        shapes = len(support_table(4).shapes)
         for branch in t.children(t.root_id):  # a factor is asked for once per shape
             assert sum(1 for b, _, _ in calls if b == branch) == shapes
 
@@ -410,7 +419,7 @@ def test_limits_fire_cold_and_warm():
         with pytest.raises(EnumerationLimitError, match="limited to 3 branches, got 4"):
             count_semistar(flat, Limits(max_branches=3))
         with pytest.raises(EnumerationLimitError, match="limited to 3 branches"):
-            support_table(4, True, max_branches=3)
+            support_table(4, max_branches=3)
 
 
 def test_a_big_quotient_next_to_a_leaf_hits_max_poset():
