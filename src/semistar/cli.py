@@ -139,9 +139,12 @@ def _cmd_hasse(args) -> int:
         return EXIT_OK
     if target == "semistar":
         sp = engine.semistar_poset(tree, limits)
-        # every element of a support shares its label, so render it once
-        names = {s: s.label(sp.branch_ids) for s in dict.fromkeys(e.support for e in sp.elements)}
-        flagged, labels = sp.flagged, [names[e.support] for e in sp.elements]
+        # the elements of a support come in a row and share one Support: label it once
+        flagged, labels, last = sp.flagged, [], None
+        for e in sp.elements:
+            if e.support is not last:
+                last, name = e.support, e.support.label(sp.branch_ids)
+            labels.append(name)
     elif target.startswith("fstar:"):
         child = target.split(":", 1)[1]
         if child not in standard_decomposition(tree):

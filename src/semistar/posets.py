@@ -19,6 +19,10 @@ Counting polynomials in the length ``n`` of a chain are kept as integer
 coefficients ``e_k`` in the binomial basis ``C(n, k)`` (Stanley's order
 polynomial: ``e_k`` is the number of order-preserving surjections onto a
 k-chain), so no fraction arises; ``hom_polynomial`` converts at the end.
+
+The one size bound, ``DEFAULT_MAX_SIZE`` elements, is checked where down-sets
+are enumerated (``_down_set_masks``), since a poset may have 2^size of them;
+chains are exempt, as the down-sets of a chain of ``N`` are its ``N + 1`` prefixes.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from ._memo import memo
 from .errors import EnumerationLimitError
 from .polynomials import MultiPoly, _multiset_coefficients, binomial_value
 
-#: Default cap on the number of source elements in down-set enumerations.
+#: The most elements of a poset, other than a chain, whose down-sets are enumerated.
 DEFAULT_MAX_SIZE = 20
 
 #: Default cap on the number of maps materialized by an enumeration.
@@ -304,7 +308,11 @@ def _sub_from_mask(p: Poset, mask: int) -> Poset:
 
 @memo
 def _down_set_masks(p: Poset) -> tuple[int, ...]:
-    """All down-set bitmasks of ``p``, ascending."""
+    """All down-set bitmasks of ``p``, ascending; the one check of the size bound."""
+    if p.size > DEFAULT_MAX_SIZE and not p.is_chain():
+        raise EnumerationLimitError(
+            f"down-set enumeration limited to {DEFAULT_MAX_SIZE} elements, poset has {p.size}"
+        )
     strict_down = [p.down_mask(i) ^ (1 << i) for i in range(p.size)]
     seen = {0}
     frontier = [0]
@@ -319,15 +327,13 @@ def _down_set_masks(p: Poset) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
-def down_sets(p: Poset, *, max_size: int = DEFAULT_MAX_SIZE) -> list[frozenset[int]]:
+def down_sets(p: Poset) -> list[frozenset[int]]:
     """Every subset closed downwards, from the empty set to all of ``p``.
 
-    Deterministic order: by cardinality, then by sorted member tuple.
+    Deterministic order: by cardinality, then by sorted member tuple.  Raises
+    :class:`EnumerationLimitError` above ``DEFAULT_MAX_SIZE`` elements unless
+    ``p`` is a chain.
     """
-    if p.size > max_size:
-        raise EnumerationLimitError(
-            f"down-set enumeration limited to {max_size} elements, poset has {p.size}"
-        )
     sets = [frozenset(_iter_bits(m)) for m in _down_set_masks(p)]
     return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
@@ -434,8 +440,6 @@ def _chain_coeffs(p: Poset) -> tuple[int, ...]:
     """
     if p.size == 0 or p.is_chain():
         return _multiset_coefficients(p.size)
-    if p.size > DEFAULT_MAX_SIZE:
-        raise EnumerationLimitError(f"chain-count program limited to {DEFAULT_MAX_SIZE} elements")
     downs = _down_set_masks(p)  # ascending: the empty set first, all of ``p`` last
     index = {d: i for i, d in enumerate(downs)}
     steps = [
@@ -505,7 +509,7 @@ def _count(p: Poset, q: Poset, max_steps: int | None) -> int:
     q0, tail = _peel_chain_tail(q)
     if not tail:
         return _backtrack_count(p, q, max_steps)
-    return binomial_value(_hom_coefficients(p, q0, max_steps), tail)
+    return binomial_value(hom_coefficients(p, q0, max_steps=max_steps), tail)
 
 
 def count_hom(p: Poset, q: Poset, *, max_steps: int | None = None) -> int:
@@ -520,8 +524,16 @@ def count_hom(p: Poset, q: Poset, *, max_steps: int | None = None) -> int:
     return _count(p, q, max_steps)
 
 
-def _hom_coefficients(p: Poset, q: Poset, max_steps: int | None) -> tuple[int, ...]:
-    """:func:`hom_coefficients` without its limit on the source size."""
+def hom_coefficients(p: Poset, q: Poset, *, max_steps: int | None = None) -> tuple[int, ...]:
+    """H(n) = |hom(p, q ⊕ chain(n))| as integers ``e`` with H(n) = sum of ``e[k] * C(n, k)``.
+
+    Splitting each map at the chain gives
+    H(n) = sum over down-sets D of p of |hom(D, q)| * (chain polynomial of p \\ D),
+    so the coefficient vectors of the chain polynomials add up with integer
+    weights.  There are ``|p| + 1`` entries; H has degree exactly |p| for
+    nonempty p.  A chain ``p`` of any length is counted; any other ``p`` of
+    more than ``DEFAULT_MAX_SIZE`` elements raises :class:`EnumerationLimitError`.
+    """
     if not q.size:  # every map lands in the chain
         return _chain_coeffs(p)
     full = (1 << p.size) - 1
@@ -534,32 +546,13 @@ def _hom_coefficients(p: Poset, q: Poset, max_steps: int | None) -> tuple[int, .
     return tuple(total)
 
 
-def hom_coefficients(
-    p: Poset, q: Poset, *, max_size: int = DEFAULT_MAX_SIZE, max_steps: int | None = None
-) -> tuple[int, ...]:
-    """H(n) = |hom(p, q ⊕ chain(n))| as integers ``e`` with H(n) = sum of ``e[k] * C(n, k)``.
-
-    Splitting each map at the chain gives
-    H(n) = sum over down-sets D of p of |hom(D, q)| * (chain polynomial of p \\ D),
-    so the coefficient vectors of the chain polynomials add up with integer
-    weights.  There are ``|p| + 1`` entries; H has degree exactly |p| for
-    nonempty p.
-    """
-    if p.size > max_size:
-        raise EnumerationLimitError(
-            f"hom polynomial limited to {max_size} source elements, poset has {p.size}"
-        )
-    return _hom_coefficients(p, q, max_steps)
-
-
-def hom_polynomial(
-    p: Poset, q: Poset, *, max_size: int = DEFAULT_MAX_SIZE, max_steps: int | None = None
-) -> MultiPoly:
+def hom_polynomial(p: Poset, q: Poset, *, max_steps: int | None = None) -> MultiPoly:
     """The polynomial H(n) = |hom(p, q ⊕ chain(n))|, exact in ``n``.
 
-    The coefficients of :func:`hom_coefficients`, in the monomial basis.
+    The coefficients of :func:`hom_coefficients`, in the monomial basis, under
+    the same size bound.
     """
-    e = hom_coefficients(p, q, max_size=max_size, max_steps=max_steps)
+    e = hom_coefficients(p, q, max_steps=max_steps)
     return MultiPoly.from_binomial(("n",), {(k,): c for k, c in enumerate(e)})
 
 

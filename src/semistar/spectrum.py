@@ -51,11 +51,10 @@ class SpectrumTree:
 
     __slots__ = ("nodes", "root_id", "_by_id", "_children", "_key", "_hash")
 
-    def __init__(self, nodes: Sequence[TreeNode], _problems_checked: bool = False):
-        if not _problems_checked:
-            problems = _collect_problems(nodes)
-            if problems:
-                raise SpectrumValidationError(problems)
+    def __init__(self, nodes: Sequence[TreeNode]):
+        problems = _collect_problems(nodes)
+        if problems:
+            raise SpectrumValidationError(problems)
         by_id = {n.id: n for n in nodes}
         children: dict[str, list[str]] = {n.id: [] for n in nodes}
         root_id = None
@@ -300,10 +299,7 @@ def validate_tree(data) -> SpectrumTree:
     nodes = _coerce_nodes(data)
     if nodes and isinstance(nodes[0], str):
         raise SpectrumValidationError(nodes)
-    problems = _collect_problems(nodes)
-    if problems:
-        raise SpectrumValidationError(problems)
-    return SpectrumTree(nodes, _problems_checked=True)
+    return SpectrumTree(nodes)
 
 
 def build_tree(rows: Iterable) -> SpectrumTree:
@@ -316,10 +312,7 @@ def build_tree(rows: Iterable) -> SpectrumTree:
             node_id, parent, omega = row[0], row[1], row[2]
             epsilon = row[3] if len(row) > 3 else None
             nodes.append(TreeNode(node_id, parent, omega, epsilon))
-    problems = _collect_problems(nodes)
-    if problems:
-        raise SpectrumValidationError(problems)
-    return SpectrumTree(nodes, _problems_checked=True)
+    return SpectrumTree(nodes)
 
 
 def load_tree(path) -> SpectrumTree:

@@ -26,7 +26,7 @@ from semistar import (
 )
 from semistar import cache_info, clear_caches
 from semistar.oracle import brute_count_hom
-from semistar.polynomials import binomial_value
+from semistar.polynomials import _multiset_coefficients, binomial_value
 from semistar.posets import _backtrack_count, _chain_coeffs, hom_coefficients
 
 posets = st.integers(0, 10_000).map(lambda seed: random_poset(random.Random(seed)))
@@ -119,6 +119,16 @@ def test_down_sets():
             assert all(y in s for y in range(4) if diamond().leq(y, x))
     with pytest.raises(EnumerationLimitError):
         down_sets(antichain(25))
+    assert len(down_sets(chain(25))) == 26  # a chain's down-sets are its prefixes
+
+
+def test_hom_counts_check_the_size_bound_before_enumerating():
+    q = ordinal_sum(antichain(2), chain(1))
+    assert count_hom(chain(25), q) == 51  # chains are exempt
+    with pytest.raises(
+        EnumerationLimitError, match="^down-set enumeration limited to 20 elements, poset has 21$"
+    ):
+        count_hom(antichain(21), q)
 
 
 def test_enum_hom_counts():
@@ -277,7 +287,10 @@ def test_chain_coefficients_of_larger_posets_match_backtracking():
 
 def test_chain_coefficients_keep_their_size_limit():
     assert binomial_value(_chain_coeffs(chain(25)), 3) == comb(27, 25)  # closed form, no limit
-    with pytest.raises(EnumerationLimitError, match="^chain-count program limited to 20 elements$"):
+    assert hom_coefficients(chain(25), chain(0)) == _multiset_coefficients(25)
+    with pytest.raises(
+        EnumerationLimitError, match="^down-set enumeration limited to 20 elements, poset has 21$"
+    ):
         _chain_coeffs(antichain(21))
 
 
