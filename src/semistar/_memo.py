@@ -4,37 +4,76 @@ A cache is a pure private function wrapped by :func:`memo`.  Its arguments
 are everything its value depends on, the size limits included, so a hit
 returns exactly what a fresh computation would, and a call that raises
 stores nothing: no limit is re-checked on a hit, and what a call returns or
-raises does not depend on the calls made before it.  Every memo keeps at
-most :data:`CACHE_ENTRIES` entries, dropping the least recently used.
+raises does not depend on the calls made before it.
+
+Each memo declares its bound at the decorator and drops the least recently
+used entry past it.  The bound fits what the memo holds: one entry per
+component shape for the per-shape values (:data:`SHAPE_ENTRIES`), a few
+dozen for materialized ordered sets, which hold up to ``max_poset``
+elements each (:data:`POSET_ENTRIES`), a few hundred for support sums,
+which are one integer for a count but up to 0.6 MB for a polynomial in
+the four weights of four branches (:data:`SUM_ENTRIES`), and :data:`CACHE_ENTRIES` for the small values
+kept per tree or per pair of posets.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, update_wrapper
 
-#: The most entries any one memo keeps.
+#: The bound of a memo of small values, one per tree or per pair of posets.
 CACHE_ENTRIES = 2048
 
-_MEMOS = {}  # "module.function" -> [function, its current lru_cache]
+#: The bound of a per-shape memo, with no eviction over five branches: the
+#: 2 215 component shapes, each plain and domain-closing (4 430 factors), or
+#: the shapes and the shapes less their domain (4 391 posets).
+SHAPE_ENTRIES = 4480
+
+#: The bound of a memo of materialized ordered sets.  One pass of a
+#: benchmark workload holds at most 14 of any one kind.
+POSET_ENTRIES = 64
+
+#: The bound of the support-sum memo, one entry per tree, closing flag and
+#: symbolic branches.  One pass of the ``counts`` workload holds 52.
+SUM_ENTRIES = 256
 
 
-def memo(func):
-    """``func`` memoized on its positional arguments, in the shared registry."""
-    entry = [func, lru_cache(maxsize=CACHE_ENTRIES)(func)]
-    _MEMOS[f"{func.__module__.rsplit('.', 1)[-1]}.{func.__qualname__}"] = entry
+class _Memo:
+    """A registry entry: the function, its bound and its current ``lru_cache``."""
 
-    def call(*args):
-        return entry[1](*args)
+    __slots__ = ("func", "entries", "cache")
 
-    return update_wrapper(call, func)
+    def __init__(self, func, entries: int):
+        self.func, self.entries = func, entries
+        self.clear()
+
+    def clear(self):
+        self.cache = lru_cache(maxsize=self.entries)(self.func)
+
+
+_MEMOS: dict[str, _Memo] = {}  # "module.function" -> its entry
+
+
+def memo(entries: int):
+    """Memoize a function on its positional arguments, keeping at most ``entries``."""
+
+    def decorate(func):
+        entry = _Memo(func, entries)
+        _MEMOS[f"{func.__module__.rsplit('.', 1)[-1]}.{func.__qualname__}"] = entry
+
+        def call(*args):
+            return entry.cache(*args)
+
+        return update_wrapper(call, func)
+
+    return decorate
 
 
 def clear_caches():
-    """Empty every memo, which then holds at most the current ``CACHE_ENTRIES``."""
+    """Empty every memo; each then holds at most its current ``entries``."""
     for entry in _MEMOS.values():
-        entry[1] = lru_cache(maxsize=CACHE_ENTRIES)(entry[0])
+        entry.clear()
 
 
 def cache_info() -> dict:
     """Hits, misses, bound and size of every memo, by ``module.function`` name."""
-    return {name: entry[1].cache_info() for name, entry in sorted(_MEMOS.items())}
+    return {name: entry.cache.cache_info() for name, entry in sorted(_MEMOS.items())}

@@ -13,9 +13,15 @@ import os
 import sys
 
 from . import engine, oracle
-from ._memo import memo
+from ._memo import CACHE_ENTRIES, memo
 from .errors import EnumerationLimitError, SpectrumValidationError, UnknownNodeError
-from .spectrum import skeleton, standard_decomposition, validate_tree
+from .spectrum import (
+    branch_subtree,
+    enumerate_supports,
+    skeleton,
+    standard_decomposition,
+    validate_tree,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -71,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@memo
+@memo(CACHE_ENTRIES)
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on first use; ``parse_args`` leaves it unchanged."""
     return build_parser()
@@ -149,8 +155,6 @@ def _cmd_hasse(args) -> int:
         child = target.split(":", 1)[1]
         if child not in standard_decomposition(tree):
             raise UnknownNodeError(f"{child!r} is not a child of the root")
-        from .spectrum import branch_subtree
-
         flagged = engine.fstar_poset(branch_subtree(tree, child), limits)
         labels = None
     else:
@@ -167,8 +171,6 @@ def _cmd_hasse(args) -> int:
 
 def _cmd_supports(args) -> int:
     tree = _load(args.tree)
-    from .spectrum import enumerate_supports
-
     sk = skeleton(tree)
     supports = enumerate_supports(tree, max_branches=args.max_branches)
     if args.format == "json":

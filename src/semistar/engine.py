@@ -34,13 +34,17 @@ polynomial arithmetic on the way.  The weight chain is never built to count.
 A support's term depends only on its component shapes, so the sum runs over
 one table per branch count (``spectrum.support_table``: 2 480 supports but
 38 shapes at four branches): each branch's factor is taken once per shape
-and multiplied into the rows column by column.  The table has two
-multiplicity columns, the supports of each row and those of them that
-contain the domain, so the domain-closing sum reads the same rows.  The
-table is read from the supports as integer bitsets over the skeleton
-masks, so counts and polynomials build no ``Support``; only the ordered set
-and element enumeration walk ``enumerate_supports``.  The tests check the
-counts against element enumeration (``semistar_element_counts``),
+and multiplied into the rows column by column.  A factor reads the
+branch's quotient and flag count but not its weight, so it is memoized on
+that pair: every leaf with the same epsilon shares one factor per shape,
+whatever its weight or id.  The sum itself is memoized per tree, closing
+flag, symbolic branches and limits, so a warm count is a lookup.  The
+table has two multiplicity columns, the supports of each row and those of
+them that contain the domain, so the domain-closing sum reads the same
+rows.  The table is read from the supports as integer bitsets over the
+skeleton masks, so counts and polynomials build no ``Support``; only the
+ordered set and element enumeration walk ``enumerate_supports``.  The tests
+check the counts against element enumeration (``semistar_element_counts``),
 materialization (``semistar_poset``), the brute-force oracle and
 interpolation.
 
@@ -54,12 +58,13 @@ product of the transposes, so no two operations are compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product as cartesian
+from dataclasses import dataclass, field
+from itertools import islice, product as cartesian
 from math import prod
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
-from ._memo import memo
+from ._memo import CACHE_ENTRIES, POSET_ENTRIES, SHAPE_ENTRIES, SUM_ENTRIES, memo
 from .errors import EnumerationLimitError
 from .polynomials import MultiPoly, binomial_value
 from .posets import (
@@ -179,12 +184,28 @@ def _check_size(size: int, limits: Limits, what: str = "semistar poset"):
         )
 
 
+@dataclass(frozen=True)
+class _Reads:
+    """What a branch's factors and base read: its quotient (``None`` for a leaf) and flag count.
+
+    It compares and hashes by that pair alone, so branches with an equal
+    pair share their factors and base: every leaf with the same epsilon,
+    whatever its weight or id, and every internal branch over the same
+    quotient.  ``tree`` is one such branch, the one a factor is computed
+    from; ``tildhom_count`` reads only the pair and the limits from it.
+    """
+
+    quotient: SpectrumTree | None
+    flag_count: int
+    tree: SpectrumTree = field(compare=False)
+
+
 class _Branch:
     """A root-child branch as ``(base, flags, omega)``, one record per branch and limits.
 
     Only the sizes are counted here; the base is built by :func:`_base` when
-    a count needs its order.  Records hash by identity, so the memos keyed
-    by them never compare trees.
+    a count needs its order.  Records hash by identity; the memos of what
+    does not depend on the weight are keyed by ``reads``.
     """
 
     def __init__(self, branch: SpectrumTree, limits: Limits):
@@ -197,9 +218,10 @@ class _Branch:
             self.quotient = quotient_subtree(branch, child)
             self.base_size = count_semistar(self.quotient, limits) - 1
             self.flag_count = count_smstar(self.quotient, limits)
+        self.reads = _Reads(self.quotient, self.flag_count, branch)
 
 
-@memo
+@memo(CACHE_ENTRIES)
 def _branches(t: SpectrumTree, limits: Limits) -> tuple[_Branch, ...]:
     ids = standard_decomposition(t)
     if len(ids) == 1:
@@ -214,13 +236,15 @@ def _single_branch(branch: SpectrumTree, limits: Limits) -> _Branch:
     return _branches(branch, limits)[0]
 
 
-@memo
-def _base(record: _Branch, limits: Limits) -> tuple[Poset, frozenset[int]]:
+@memo(POSET_ENTRIES)
+def _base(reads: _Reads, limits: Limits) -> tuple[Poset, frozenset[int]]:
     """The base poset and its flags: the quotient's semistar poset minus its top."""
-    if record.quotient is None:
-        return Poset(()), frozenset(range(record.flag_count))
-    _check_size(record.base_size + 1, limits, f"semistar poset of quotient {record.child!r}")
-    sp = semistar_poset(record.quotient, limits)
+    quotient = reads.quotient
+    if quotient is None:
+        return Poset(()), frozenset(range(reads.flag_count))
+    what = f"semistar poset of quotient {quotient.root_id!r}"
+    _check_size(count_semistar(quotient, limits), limits, what)
+    sp = semistar_poset(quotient, limits)
     top = sp.poset.unique_max()
     assert top is not None and sp.elements[top].support.masks == frozenset({0})
     assert top not in sp.ring_closing
@@ -239,11 +263,11 @@ def fstar_poset(branch: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> Flagge
     return _fstar(_single_branch(branch, limits), limits)
 
 
-@memo
+@memo(POSET_ENTRIES)
 def _fstar(record: _Branch, limits: Limits) -> FlaggedPoset:
     what = f"fractional-star poset of branch {record.child!r}"
     _check_size(record.base_size + record.omega, limits, what)
-    base, flags = _base(record, limits)
+    base, flags = _base(record.reads, limits)
     return FlaggedPoset(ordinal_sum(base, chain(record.omega)), flags)
 
 
@@ -291,17 +315,17 @@ def tildhom_count(
     if d_index is None:
         if component.size == 1:
             return (record.base_size, 1)
-        base, _ = _base(record, limits)
+        base, _ = _base(record.reads, limits)
         return hom_coefficients(component, base, max_steps=limits.max_maps)
     if component.up_mask(d_index) != (1 << component.size) - 1:
         raise ValueError("the designated domain element must be the component minimum")
     rest = subposet(component, (i for i in range(component.size) if i != d_index))
     if record.quotient is None:
-        h = hom_coefficients(rest, _base(record, limits)[0])
+        h = hom_coefficients(rest, _base(record.reads, limits)[0])
         return h if record.flag_count == 1 else tuple(a + b for a, b in zip(h, _shifted(h)))
     if not rest.size:
         return (record.flag_count,)
-    base, flags = _base(record, limits)
+    base, flags = _base(record.reads, limits)
     if rest.size == 1:  # one point maps to an up-set U or the chain: |U| + n
         return (sum(base.up_mask(q).bit_count() for q in flags), len(flags))
     total = [0] * (rest.size + 1)
@@ -312,21 +336,24 @@ def tildhom_count(
     return tuple(total)
 
 
-@memo
-def _term(record: _Branch, component: Poset, closing: bool, limits: Limits):
-    """One branch's factor for one support, in C(n, k); ``(1,)`` if the support misses it.
+@memo(SHAPE_ENTRIES)
+def _term(reads: _Reads, component: Poset, closing: bool, limits: Limits):
+    """A branch's factor for one component shape, in C(n, k); ``(1,)`` if the support misses it.
 
     ``closing`` sends the component's element 0, its minimum, to a
-    ring-closing element.
+    ring-closing element.  The factor does not depend on the weight, so it
+    is keyed by what the branch's maps read (:class:`_Reads`): a leaf's
+    factors are one set per epsilon.
     """
     if not component.size:
         return (1,)
-    return tildhom_count(component, 0 if closing else None, record.tree, limits)
+    return tildhom_count(component, 0 if closing else None, reads.tree, limits)
 
 
+@memo(SUM_ENTRIES)
 def _support_sum(
     t: SpectrumTree, closing: bool, symbolic: frozenset[str], limits: Limits
-) -> dict[tuple[int, ...], int]:
+) -> Mapping[tuple[int, ...], int]:
     """Sum over supports of the product of the branch factors, in the binomial basis.
 
     The supports come as one shape table (a column of component shapes per
@@ -338,20 +365,22 @@ def _support_sum(
     The root children in ``symbolic`` stay polynomials in their weights:
     rows are grouped by their symbolic shapes and expanded into one dict
     ``{(k_1, ..., k_s): c}`` for the sum of ``c * C(n_1, k_1) ... C(n_s,
-    k_s)``, indices in branch order.  A count is its ``()`` entry.
+    k_s)``, indices in branch order.  A count is its ``()`` entry.  The sum
+    is memoized, so it is returned as a read-only view that every caller
+    shares.
     """
     records = _branches(t, limits)
     table = support_table(len(records), max_branches=limits.max_branches)
     acc, kept = list(table.closing if closing else table.multiplicity), []
     for record, column in zip(records, table.columns):
-        factors = [_term(record, component, closing, limits) for component in table.shapes]
+        factors = [_term(record.reads, component, closing, limits) for component in table.shapes]
         if record.child in symbolic:
             kept.append((column, [[(k, c) for k, c in enumerate(f) if c] for f in factors]))
         else:
             values = [binomial_value(f, record.omega) for f in factors]
             acc = [a * values[s] for a, s in zip(acc, column)]
     if not kept:
-        return {(): sum(acc)}
+        return MappingProxyType({(): sum(acc)})
     groups: dict[tuple[int, ...], int] = {}
     for key, factor in zip(zip(*(column for column, _ in kept)), acc):
         if factor:
@@ -363,7 +392,7 @@ def _support_sum(
             term = {e + (k,): c * a for e, c in term.items() for k, a in pieces[s]}
         for e, c in term.items():
             total[e] = total.get(e, 0) + c
-    return total
+    return MappingProxyType(total)
 
 
 def count_semistar(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
@@ -494,70 +523,84 @@ def semistar_poset(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> Semistar
     return _semistar_poset(t, limits)
 
 
-@memo
+@memo(POSET_ENTRIES)
 def _semistar_poset(t: SpectrumTree, limits: Limits) -> SemistarPoset:
     branch_ids = standard_decomposition(t)
     _check_size(count_semistar(t, limits), limits)
     fstars = _branch_fstars(t, limits)
-    # shared by the blocks of this build: map lists, branch relations, their products
-    lists, relations, products = {}, {}, {}
+    # shared by the blocks of this build: map lists, branch parts, relations, their products
+    lists, parts, part_ids, products = {}, [], {}, {}
+    rows, relations, relation_ids = [], {}, {}  # relations by id, their ids, ids by part pair
 
-    def map_list(i: int, component: Poset) -> list:
-        """The maps of a component into branch ``i``, sorted by image; ``[None]`` if empty."""
-        if not component.size:
-            return [None]
-        if (i, component) not in lists:
-            found = enum_hom(component, fstars[i].poset, max_maps=limits.max_maps)
-            lists[i, component] = sorted(found, key=lambda g: g.image)
-        return lists[i, component]
+    def part(i: int, support: Support) -> int:
+        """An id for branch ``i``'s component of ``support``, with its maps sorted by image."""
+        key = (i, support.component(i))
+        if key not in part_ids:
+            component = support.component_poset(i)[0]
+            if not component.size:
+                maps = [None]
+            else:
+                if (i, component) not in lists:
+                    found = enum_hom(component, fstars[i].poset, max_maps=limits.max_maps)
+                    lists[i, component] = sorted(found, key=lambda g: g.image)
+                maps = lists[i, component]
+            part_ids[key] = len(parts)
+            parts.append(key + (maps,))
+        return part_ids[key]
 
-    def relation(i: int, big: tuple, small: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Branch ``i``'s relation between two ``(component, maps)``, and its transpose.
+    def relation(big: int, small: int) -> int:
+        """The id of the relation between two parts of one branch and of its transpose.
 
         The component of ``small`` lies inside that of ``big``; a map on
-        ``big`` is related to the maps on ``small`` above it there.
+        ``big`` is related to the maps on ``small`` above it there.  Equal
+        relations share their id.
         """
-        key = (i, big[0], small[0])
-        if key not in relations:
-            (parts, outer), (inner_parts, inner) = big, small
-            at, here = [parts.index(mask) for mask in inner_parts], range(len(inner_parts))
+        if (big, small) not in relation_ids:
+            (i, outer_masks, outer), (_, inner_masks, inner) = parts[big], parts[small]
+            at = [outer_masks.index(mask) for mask in inner_masks]
+            here = range(len(inner_masks))
             fp = fstars[i].poset
-            relations[key] = (
+            pair = (
                 _relation(outer, at, inner, here, fp.up_mask),
                 _relation(inner, here, outer, at, fp.down_mask),
             )
-        return relations[key]
+            if pair not in relations:
+                relations[pair] = len(rows)
+                rows.append(pair)
+            relation_ids[big, small] = relations[pair]
+        return relation_ids[big, small]
 
     blocks, elements, flags = [], [], set()
     # in ``Support.sort_key`` order, which is the order of the elements
     for support in enumerate_supports(len(fstars), max_branches=limits.max_branches):
-        branches = [
-            (support.component(i), map_list(i, support.component_poset(i)[0]))
-            for i in range(len(fstars))
-        ]
-        blocks.append((support.masks, len(elements), branches))
+        ids = [part(i, support) for i in range(len(fstars))]
+        family = sum(1 << mask for mask in support.masks)
+        blocks.append((family, len(elements), ids))
         if support.contains_domain():  # then the domain is entry 0 of every map
             # the flagged elements are mixed-radix in the flagged maps of each branch
             offsets = [0]
-            for (_, maps), f in zip(branches, fstars):
+            for k, f in zip(ids, fstars):
+                maps = parts[k][2]
                 starred = [j for j, g in enumerate(maps) if g.image[0] in f.ring_closing]
                 offsets = [o * len(maps) + j for o in offsets for j in starred]
             flags.update(len(elements) + o for o in offsets)
         elements.extend(
-            SemistarElement(support, maps) for maps in cartesian(*(maps for _, maps in branches))
+            SemistarElement(support, maps) for maps in cartesian(*(parts[k][2] for k in ids))
         )
     up, down = [0] * len(elements), [0] * len(elements)
-    for (masks, a, bigs), (inside, b, smalls) in cartesian(blocks, repeat=2):
-        if not inside <= masks:
-            continue
-        factors = tuple(map(relation, range(len(fstars)), bigs, smalls))
-        if factors not in products:  # block pairs with equal relations share their rows
-            products[factors] = _kronecker(factors), _kronecker([(d, u) for u, d in factors])
-        ups, downs = products[factors]
-        for k, row in enumerate(ups, a):
-            up[k] |= row << b
-        for k, row in enumerate(downs, b):
-            down[k] |= row << a
+    for j, (family, a, bigs) in enumerate(blocks):
+        for inside, b, smalls in islice(blocks, j + 1):  # a smaller family sorts earlier
+            if inside & ~family:
+                continue
+            key = tuple(map(relation, bigs, smalls))
+            if key not in products:  # block pairs with equal relations share their rows
+                factors = [rows[r] for r in key]
+                products[key] = _kronecker(factors), _kronecker([(d, u) for u, d in factors])
+            ups, downs = products[key]
+            for k, row in enumerate(ups, a):
+                up[k] |= row << b
+            for k, row in enumerate(downs, b):
+                down[k] |= row << a
     poset = Poset._unchecked(up, down)
     top = poset.unique_max()
     assert top is not None and elements[top].support.masks == frozenset({0})

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import product as cartesian
 
-from ._memo import memo
+from ._memo import CACHE_ENTRIES, memo
 from .errors import EnumerationLimitError
 from .posets import Poset, chain, ordinal_sum, subposet
 from .spectrum import (
@@ -108,7 +108,7 @@ def _check_tree_bounds(t: SpectrumTree):
         raise EnumerationLimitError(f"brute search limited to {MAX_BRANCHES} branches")
 
 
-@memo
+@memo(CACHE_ENTRIES)
 def _brute_semistar_poset(t: SpectrumTree):
     """(poset, flag set) of all semistar operations, everything enumerated.
 
@@ -163,7 +163,7 @@ def _brute_semistar_poset(t: SpectrumTree):
     return poset, flags
 
 
-@memo
+@memo(CACHE_ENTRIES)
 def _brute_fstar(branch: SpectrumTree):
     """(poset, flag set) of the fractional-star operations of one branch."""
     (child,) = standard_decomposition(branch)

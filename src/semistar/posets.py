@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ._memo import memo
+from ._memo import CACHE_ENTRIES, SHAPE_ENTRIES, memo
 from .errors import EnumerationLimitError
 from .polynomials import MultiPoly, _multiset_coefficients, binomial_value
 
@@ -306,7 +306,7 @@ def _sub_from_mask(p: Poset, mask: int) -> Poset:
 
 # -- down-sets -------------------------------------------------------------------
 
-@memo
+@memo(SHAPE_ENTRIES)
 def _down_set_masks(p: Poset) -> tuple[int, ...]:
     """All down-set bitmasks of ``p``, ascending; the one check of the size bound."""
     if p.size > DEFAULT_MAX_SIZE and not p.is_chain():
@@ -425,7 +425,7 @@ def enum_hom(p: Poset, q: Poset, *, max_maps: int = DEFAULT_MAX_MAPS) -> list[Or
 
 # -- counting --------------------------------------------------------------------
 
-@memo
+@memo(SHAPE_ENTRIES)
 def _chain_coeffs(p: Poset) -> tuple[int, ...]:
     """|hom(p, chain(n))| as ``e`` with the count ``sum(e[k] * C(n, k))``; ``|p| + 1`` entries.
 
@@ -499,7 +499,7 @@ def _backtrack_count(p: Poset, q: Poset, max_steps: int | None) -> int:
     return count(0)
 
 
-@memo
+@memo(CACHE_ENTRIES)
 def _count(p: Poset, q: Poset, max_steps: int | None) -> int:
     """|hom(p, q)|, raising if one backtracking run takes more than ``max_steps`` steps."""
     if p.size == 0:

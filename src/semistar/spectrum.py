@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from ._memo import memo
+from ._memo import CACHE_ENTRIES, memo
 from .errors import EnumerationLimitError, SpectrumValidationError, UnknownNodeError
 from .posets import Poset, _iter_bits
 
@@ -513,7 +513,7 @@ def _reverse_inclusion(masks: Sequence[int]) -> Poset:
     return Poset._unchecked([sum(1 << j for j, b in enumerate(masks) if a & b == b) for a in masks])
 
 
-@memo
+@memo(CACHE_ENTRIES)
 def _component_poset(masks: tuple[int, ...], full_mask: int) -> tuple[Poset, int | None]:
     d_index = masks.index(full_mask) if full_mask in masks else None
     return _reverse_inclusion(masks), d_index
@@ -585,7 +585,7 @@ def _link(component: int, b: int) -> int:
     return sum(1 << (s & low | s >> 1 & ~low) for s in _iter_bits(component))
 
 
-@memo
+@memo(CACHE_ENTRIES)
 def _union_closed(m: int) -> tuple[int, ...]:
     """The supports over ``m`` branches as bitsets over the masks, in generation order.
 
@@ -628,7 +628,7 @@ def _union_closed(m: int) -> tuple[int, ...]:
     return tuple(found)
 
 
-@memo
+@memo(CACHE_ENTRIES)
 def _supports(m: int) -> tuple[Support, ...]:
     """The supports over ``m`` branches as :class:`Support` objects, sorted canonically."""
     supports = (Support(m, frozenset(_iter_bits(family))) for family in _union_closed(m))
@@ -671,6 +671,6 @@ def support_table(m: int, *, max_branches: int = DEFAULT_MAX_BRANCHES) -> Suppor
     return _support_table(m)
 
 
-@memo
+@memo(CACHE_ENTRIES)
 def _support_table(m: int) -> SupportTable:
     return SupportTable(m)

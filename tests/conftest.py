@@ -134,7 +134,8 @@ def cache_bound(monkeypatch):
     """``cache_bound(n)`` empties every memo and bounds each to ``n`` entries for the test."""
 
     def bound(entries):
-        monkeypatch.setattr(_memo, "CACHE_ENTRIES", entries)
+        for entry in _memo._MEMOS.values():
+            monkeypatch.setattr(entry, "entries", entries)
         clear_caches()
 
     yield bound

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import gc
 import importlib.util
 import json
 import os
@@ -14,7 +15,7 @@ from conftest import run_fresh
 from semistar import EnumerationLimitError, Limits, _memo, cache_info, clear_caches
 from semistar import engine
 from semistar.cli import main
-from semistar.spectrum import validate_tree
+from semistar.spectrum import branch_subtree, validate_tree
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SOURCES = os.path.join(ROOT, "src", "semistar")
@@ -78,17 +79,18 @@ def _counts_workload():
     return module.make_workload("counts", 1)
 
 
-def _memo_names():
-    """``module.function`` of every definition decorated with ``@memo`` in the package."""
-    names = set()
+def _memo_bounds():
+    """``module.function`` of every ``@memo(BOUND)`` definition in the package, with ``BOUND``."""
+    bounds = {}
     for filename in sorted(os.listdir(SOURCES)):
         if filename.endswith(".py"):
             tree = ast.parse(open(os.path.join(SOURCES, filename), encoding="utf-8").read())
             for node in tree.body:
-                decorators = getattr(node, "decorator_list", [])
-                if any(isinstance(d, ast.Name) and d.id == "memo" for d in decorators):
-                    names.add(f"{filename[:-3]}.{node.name}")
-    return names
+                for d in getattr(node, "decorator_list", []):
+                    if isinstance(d, ast.Call) and getattr(d.func, "id", None) == "memo":
+                        (bound,) = d.args
+                        bounds[f"{filename[:-3]}.{node.name}"] = bound.id
+    return bounds
 
 
 def test_every_memo_is_bounded_after_the_counts_workload(tmp_path):
@@ -100,11 +102,97 @@ def test_every_memo_is_bounded_after_the_counts_workload(tmp_path):
     for invocation in workload.invocations:
         _run(invocation.resolve(str(paths[invocation.tree])))
     info = cache_info()
-    assert set(info) == _memo_names()
+    bounds = _memo_bounds()
+    assert set(info) == set(bounds)
     assert info["engine._term"].currsize > 0 and info["posets._count"].currsize > 0
     for name, stats in info.items():
-        assert stats.maxsize == _memo.CACHE_ENTRIES, name
-        assert stats.currsize <= _memo.CACHE_ENTRIES, name
+        assert stats.maxsize == getattr(_memo, bounds[name]), name
+        assert stats.currsize <= stats.maxsize, name
+    # per-shape values hold every shape of five branches; materialized sets a few dozen
+    declared = {
+        "SHAPE_ENTRIES": {"engine._term", "posets._chain_coeffs", "posets._down_set_masks"},
+        "POSET_ENTRIES": {"engine._semistar_poset", "engine._base", "engine._fstar"},
+        "SUM_ENTRIES": {"engine._support_sum"},
+    }
+    for bound, names in declared.items():
+        assert {name for name, b in bounds.items() if b == bound} == names, bound
+    assert _memo.SHAPE_ENTRIES >= 2 * 2215 and _memo.POSET_ENTRIES < _memo.CACHE_ENTRIES
+
+
+def test_a_memoized_sum_cannot_be_changed_by_its_caller():
+    t = validate_tree(README_TREE)
+    count = engine.count_semistar(t)
+    for symbolic in (frozenset(), frozenset({"N"})):
+        total = engine._support_sum(t, False, symbolic, engine.DEFAULT_LIMITS)
+        key = next(iter(total))
+        with pytest.raises(TypeError):
+            total[key] = 0
+        with pytest.raises(AttributeError):
+            total.clear()
+        assert engine._support_sum(t, False, symbolic, engine.DEFAULT_LIMITS) == total
+    assert engine.count_semistar(t) == count
+    assert engine.semistar_polynomial(t, ["N"]).evaluate({"N": 1}) == count
+
+
+def test_branch_and_map_limits_fire_after_a_default_count():
+    flat = validate_tree(
+        {"nodes": [{"id": "0", "parent": None, "omega": 1}]
+         + [{"id": f"M{i}", "parent": "0", "omega": 2, "epsilon": 1} for i in range(4)]}
+    )
+    t = validate_tree(README_TREE)
+    for tree, limits, message in [
+        (flat, Limits(max_branches=3), "limited to 3 branches, got 4"),
+        (t, Limits(max_maps=1), "exceeded 1 steps"),
+    ]:
+        report = engine.count_report(tree)
+        for _ in range(2):  # the failed call stores nothing
+            with pytest.raises(EnumerationLimitError, match=message):
+                engine.count_semistar(tree, limits)
+        assert engine.count_report(tree) == report
+
+
+# the README shape at larger weights: 1 162 elements, with branch posets of 24 and 2
+BIG_README_TREE = {
+    "nodes": [
+        {"id": "0", "parent": None, "omega": 1},
+        {"id": "P", "parent": "0", "omega": 2},
+        {"id": "M1", "parent": "P", "omega": 3, "epsilon": 2},
+        {"id": "M2", "parent": "P", "omega": 1, "epsilon": 1},
+        {"id": "N", "parent": "0", "omega": 2, "epsilon": 2},
+    ]
+}
+
+
+def _renamed(spec, k):
+    """The tree of ``spec`` with ``_k`` appended to every id: equal sets, no shared memo entry."""
+    nodes = [dict(node, id=f"{node['id']}_{k}") for node in spec["nodes"]]
+    for node in nodes:
+        if node["parent"] is not None:
+            node["parent"] = f"{node['parent']}_{k}"
+    return validate_tree({"nodes": nodes})
+
+
+def test_materialized_sets_stay_within_their_bound():
+    clear_caches()
+    names = ("engine._semistar_poset", "engine._base", "engine._fstar")
+    bound = _memo.POSET_ENTRIES
+    sizes, blocks = set(), []
+    gc.collect()
+    start = sys.getallocatedblocks()
+    for k in range(2 * bound):
+        t = _renamed(BIG_README_TREE, k)
+        sizes.add(engine.semistar_poset(t).size)
+        sizes.update(engine.fstar_poset(branch_subtree(t, c)).size for c in t.children(t.root_id))
+        info = cache_info()
+        assert all(info[name].currsize <= bound for name in names), k
+        if k + 1 in (bound, 2 * bound):
+            gc.collect()
+            blocks.append(sys.getallocatedblocks() - start)
+    assert all(cache_info()[name].currsize == bound for name in names)
+    assert sizes == {1162, 24, 2}
+    # once the bound is full, as many trees again keep few more blocks: the sets are dropped
+    assert blocks[1] < 1.1 * blocks[0], blocks
+    clear_caches()
 
 
 def _module_level_caches(tree: ast.Module) -> list[str]:

@@ -279,32 +279,65 @@ def test_counts_and_polynomials_build_no_support():
     assert supports_built == "0 1"  # one shape table, and not one Support
 
 
+_FIVE_FLAT_LEAVES_SCRIPT = (
+    "import sys, time; sys.path.insert(0, 'tests')\n"
+    "from conftest import h_local\n"
+    "from semistar import Limits, cache_info, count_semistar, count_smstar\n"
+    "from semistar.spectrum import support_table\n"
+    "limits = Limits(max_branches=5)\n"
+    "t = h_local([1] * 5, [1] * 5)\n"
+    "table = support_table(5, max_branches=5)\n"
+    "print(sum(table.multiplicity), sum(table.closing))\n"
+    "print(count_semistar(t, limits), count_smstar(t, limits))\n"
+    "info = cache_info()\n"
+    "print(*(info[name].misses - info[name].currsize for name in\n"
+    "        ('engine._term', 'posets._chain_coeffs', 'posets._down_set_masks')))\n"
+    "start = time.perf_counter()\n"
+    "count_semistar(t, limits), count_smstar(t, limits)\n"
+    "print(time.perf_counter() - start)\n"
+)
+
+
+@pytest.mark.slow
+def test_five_flat_leaves_of_weight_one_count_the_table():
+    # omega = epsilon = 1 makes every branch poset one flagged point, so every
+    # support is one operation and the domain-closing ones are those holding it
+    fresh = run_fresh(_FIVE_FLAT_LEAVES_SCRIPT)
+    assert fresh.returncode == 0, fresh.stderr
+    table, counts, evicted, warm = fresh.stdout.splitlines()
+    assert table == counts == "1385552 1373701"
+    assert evicted == "0 0 0"  # every shape's factor and chain coefficients are kept
+    assert float(warm) < 0.1
+
+
 def test_each_branch_takes_one_term_per_shape():
     t = h_local([2, 1, 3, 2], [2, 1, 1, 2])
     calls = []
     real = engine._term
 
-    def counted(record, component, closing, limits):
-        calls.append((record.child, component, closing))
-        return real(record, component, closing, limits)
+    def counted(reads, component, closing, limits):
+        calls.append((reads.tree, component, closing))
+        return real(reads, component, closing, limits)
 
     for closing, count in ((False, count_semistar), (True, count_smstar)):
         calls.clear()
+        clear_caches()
         with mock.patch.object(engine, "_term", counted):
             count(t)
         assert len(calls) == len(set(calls))
         shapes = len(support_table(4).shapes)
-        for branch in t.children(t.root_id):  # a factor is asked for once per shape
-            assert sum(1 for b, _, _ in calls if b == branch) == shapes
+        for record in engine._branches(t, engine.DEFAULT_LIMITS):  # once per shape
+            assert sum(1 for tree, _, _ in calls if tree == record.tree) == shapes
 
-    # counted or symbolic, each branch shape's factor is computed once
+    # counted or symbolic, one factor per (epsilon or quotient, shape, closing)
     real_count = engine.tildhom_count
-    deeper = final_example(2, 3, leaf_omegas=(2, 1))
+    deeper = final_example(2, 3, eps_n=2, leaf_omegas=(2, 1))
     for tree, omega_vars, eps_vars in [(t, ["M1", "M3"], ["M4"]), (deeper, ["P"], ["M1"])]:
         factors = Counter()
 
         def counted_factor(component, d_index, branch, limits=engine.DEFAULT_LIMITS):
-            factors[branch, component, d_index] += 1
+            record = engine._single_branch(branch, limits)
+            factors[record.quotient, record.flag_count, component, d_index] += 1
             return real_count(component, d_index, branch, limits)
 
         clear_caches()
@@ -313,6 +346,11 @@ def test_each_branch_takes_one_term_per_shape():
             semistar_polynomial(tree, omega_vars)
             smstar_polynomial(tree, omega_vars, eps_vars)
         assert factors and max(factors.values()) == 1
+        # the leaves share one set of factors per epsilon, whatever their weights and ids
+        leaves = {flags for quotient, flags, _, _ in factors if quotient is None}
+        assert leaves == {1, 2}
+        if tree is t:  # two epsilons, every non-empty shape plain and domain-closing
+            assert len(factors) == 2 * 2 * (len(support_table(4).shapes) - 1)
 
 
 # -- one basis: no polynomial arithmetic in the engine ------------------------------------
