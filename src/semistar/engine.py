@@ -53,18 +53,24 @@ support form a block, the product of the branch map lists.  Between a
 block and one of a smaller support, the order is the Kronecker product of
 one relation per branch (each map on the larger component against the
 maps above it on the smaller one), and the down-sets are the Kronecker
-product of the transposes, so no two operations are compared.
+product of the transposes, so no two operations are compared.  Which
+blocks nest, and which two component shapes each branch then relates,
+depends only on the branch count, so it is read from one table per count
+(``spectrum.pair_table``: 733 nested pairs at three branches).  A relation
+depends only on the branch poset, the two shapes and how one sits in the
+other, so it is memoized on them with its transpose, read off its bits,
+and shared by every build, as are the sorted map lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, product as cartesian
+from itertools import product as cartesian
 from math import prod
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from ._memo import CACHE_ENTRIES, POSET_ENTRIES, SHAPE_ENTRIES, SUM_ENTRIES, memo
+from ._memo import CACHE_ENTRIES, MAP_ENTRIES, POSET_ENTRIES, SHAPE_ENTRIES, SUM_ENTRIES, memo
 from .errors import EnumerationLimitError
 from .polynomials import MultiPoly, binomial_value
 from .posets import (
@@ -85,6 +91,7 @@ from .spectrum import (
     Support,
     branch_subtree,
     enumerate_supports,
+    pair_table,
     quotient_subtree,
     standard_decomposition,
     support_table,
@@ -465,14 +472,14 @@ def semistar_element_counts(
 # -- the full ordered set ---------------------------------------------------------
 
 
-def _relation(rows: list, row_at, cols: list, col_at, cone) -> tuple[int, ...]:
+def _relation(rows: Sequence, row_at, cols: Sequence, col_at, cone) -> tuple[int, ...]:
     """Per map ``r`` of ``rows``, the bitmask of the maps ``c`` of ``cols`` related to it.
 
     ``c`` is related to ``r`` when ``c(col_at[k])`` is in ``cone(r(row_at[k]))``
     at every position ``k``.  Position by position, the maps of ``cols`` are
     filed by their image there, and the column of an image ``q`` is the
     union of the files in ``cone(q)``.  With no position every map is
-    related to every row (the lists are ``[None]`` there).
+    related to every row (the lists are ``(None,)`` there).
     """
     out = [(1 << len(cols)) - 1] * len(rows)
     for p, k in zip(row_at, col_at):
@@ -486,6 +493,32 @@ def _relation(rows: list, row_at, cols: list, col_at, cone) -> tuple[int, ...]:
             column[q] = sum(files[i] for i in _iter_bits(cone(q) & present))
         out = [bits & column[r.image[p]] for bits, r in zip(out, rows)]
     return tuple(out)
+
+
+def _transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
+    """The columns of a relation ``width`` columns wide, each as a bitmask over its rows."""
+    # the last row first, so column ``c`` is every ``width``-th digit from ``width - 1 - c``
+    digits = "".join(format(bits, f"0{width}b") for bits in reversed(rows))
+    return tuple(int(digits[width - 1 - c :: width], 2) for c in range(width))
+
+
+@memo(MAP_ENTRIES)
+def _maps(component: Poset, target: Poset, max_maps: int) -> tuple[OrderMap | None, ...]:
+    """The maps of a component into a branch poset sorted by image, ``(None,)`` if it is empty."""
+    if not component.size:
+        return (None,)
+    return tuple(sorted(enum_hom(component, target, max_maps=max_maps), key=lambda g: g.image))
+
+
+@memo(MAP_ENTRIES)
+def _relations(target: Poset, outer: Poset, inner: Poset, at: tuple[int, ...], max_maps: int):
+    """A branch's relation between two nested components, and its transpose.
+
+    Inner mask ``k`` is outer mask ``at[k]`` (see :func:`_relation`).
+    """
+    rows, cols = _maps(outer, target, max_maps), _maps(inner, target, max_maps)
+    relation = _relation(rows, at, cols, range(len(at)), target.up_mask)
+    return relation, _transpose(relation, len(cols))
 
 
 def _kronecker(factors) -> list[int]:
@@ -519,6 +552,9 @@ def semistar_poset(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> Semistar
     the branches, of one relation each: the maps on the larger component
     against the maps above them on the smaller one.  The down-sets are the
     Kronecker product of the transposes, so no pair of elements is compared.
+    The nested block pairs and each branch's pair of shapes come from
+    :func:`spectrum.pair_table`, read once the size and branch limits hold;
+    map lists and relations are memoized per shape and shared across builds.
     """
     return _semistar_poset(t, limits)
 
@@ -528,79 +564,39 @@ def _semistar_poset(t: SpectrumTree, limits: Limits) -> SemistarPoset:
     branch_ids = standard_decomposition(t)
     _check_size(count_semistar(t, limits), limits)
     fstars = _branch_fstars(t, limits)
-    # shared by the blocks of this build: map lists, branch parts, relations, their products
-    lists, parts, part_ids, products = {}, [], {}, {}
-    rows, relations, relation_ids = [], {}, {}  # relations by id, their ids, ids by part pair
-
-    def part(i: int, support: Support) -> int:
-        """An id for branch ``i``'s component of ``support``, with its maps sorted by image."""
-        key = (i, support.component(i))
-        if key not in part_ids:
-            component = support.component_poset(i)[0]
-            if not component.size:
-                maps = [None]
-            else:
-                if (i, component) not in lists:
-                    found = enum_hom(component, fstars[i].poset, max_maps=limits.max_maps)
-                    lists[i, component] = sorted(found, key=lambda g: g.image)
-                maps = lists[i, component]
-            part_ids[key] = len(parts)
-            parts.append(key + (maps,))
-        return part_ids[key]
-
-    def relation(big: int, small: int) -> int:
-        """The id of the relation between two parts of one branch and of its transpose.
-
-        The component of ``small`` lies inside that of ``big``; a map on
-        ``big`` is related to the maps on ``small`` above it there.  Equal
-        relations share their id.
-        """
-        if (big, small) not in relation_ids:
-            (i, outer_masks, outer), (_, inner_masks, inner) = parts[big], parts[small]
-            at = [outer_masks.index(mask) for mask in inner_masks]
-            here = range(len(inner_masks))
-            fp = fstars[i].poset
-            pair = (
-                _relation(outer, at, inner, here, fp.up_mask),
-                _relation(inner, here, outer, at, fp.down_mask),
-            )
-            if pair not in relations:
-                relations[pair] = len(rows)
-                rows.append(pair)
-            relation_ids[big, small] = relations[pair]
-        return relation_ids[big, small]
-
-    blocks, elements, flags = [], [], set()
-    # in ``Support.sort_key`` order, which is the order of the elements
-    for support in enumerate_supports(len(fstars), max_branches=limits.max_branches):
-        ids = [part(i, support) for i in range(len(fstars))]
-        family = sum(1 << mask for mask in support.masks)
-        blocks.append((family, len(elements), ids))
+    table = pair_table(len(fstars), max_branches=limits.max_branches)
+    # every shape occurs at every branch, so each of these lists is read
+    shape_maps = [[_maps(p, f.poset, limits.max_maps) for p in table.shapes] for f in fstars]
+    offsets, elements, flags = [], [], set()
+    for k, support in enumerate(table.supports):  # in the order of the elements
+        maps = [branch[column[k]] for branch, column in zip(shape_maps, table.columns)]
+        offsets.append(len(elements))
         if support.contains_domain():  # then the domain is entry 0 of every map
             # the flagged elements are mixed-radix in the flagged maps of each branch
-            offsets = [0]
-            for k, f in zip(ids, fstars):
-                maps = parts[k][2]
-                starred = [j for j, g in enumerate(maps) if g.image[0] in f.ring_closing]
-                offsets = [o * len(maps) + j for o in offsets for j in starred]
-            flags.update(len(elements) + o for o in offsets)
-        elements.extend(
-            SemistarElement(support, maps) for maps in cartesian(*(parts[k][2] for k in ids))
-        )
+            flagged = [0]
+            for f, branch in zip(fstars, maps):
+                starred = [j for j, g in enumerate(branch) if g.image[0] in f.ring_closing]
+                flagged = [o * len(branch) + j for o in flagged for j in starred]
+            flags.update(len(elements) + o for o in flagged)
+        elements.extend(SemistarElement(support, row) for row in cartesian(*maps))
+    relations = {}  # (relation, transpose) -> id; equal relations share their id
+    columns = []
+    for f, column in zip(fstars, table.pair_columns):
+        ids = [relations.setdefault(_relations(f.poset, *pair, limits.max_maps), len(relations))
+               for pair in table.pairs]
+        columns.append([ids[k] for k in column])
+    factors, products = list(relations), {}  # products by their relation ids
     up, down = [0] * len(elements), [0] * len(elements)
-    for j, (family, a, bigs) in enumerate(blocks):
-        for inside, b, smalls in islice(blocks, j + 1):  # a smaller family sorts earlier
-            if inside & ~family:
-                continue
-            key = tuple(map(relation, bigs, smalls))
-            if key not in products:  # block pairs with equal relations share their rows
-                factors = [rows[r] for r in key]
-                products[key] = _kronecker(factors), _kronecker([(d, u) for u, d in factors])
-            ups, downs = products[key]
-            for k, row in enumerate(ups, a):
-                up[k] |= row << b
-            for k, row in enumerate(downs, b):
-                down[k] |= row << a
+    for big, small, key in zip(table.big, table.small, zip(*columns) if columns else [()]):
+        if key not in products:  # block pairs with equal relations share their rows
+            terms = [factors[r] for r in key]
+            products[key] = _kronecker(terms), _kronecker([(d, u) for u, d in terms])
+        ups, downs = products[key]
+        a, b = offsets[big], offsets[small]
+        for k, row in enumerate(ups, a):
+            up[k] |= row << b
+        for k, row in enumerate(downs, b):
+            down[k] |= row << a
     poset = Poset._unchecked(up, down)
     top = poset.unique_max()
     assert top is not None and elements[top].support.masks == frozenset({0})

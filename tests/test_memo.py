@@ -15,7 +15,7 @@ from conftest import run_fresh
 from semistar import EnumerationLimitError, Limits, _memo, cache_info, clear_caches
 from semistar import engine
 from semistar.cli import main
-from semistar.spectrum import branch_subtree, validate_tree
+from semistar.spectrum import branch_subtree, pair_table, validate_tree
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SOURCES = os.path.join(ROOT, "src", "semistar")
@@ -70,13 +70,23 @@ def test_semistar_poset_limit_fires_after_a_default_build():
     assert engine.semistar_poset(t, Limits(max_poset=size)).size == size
 
 
-def _counts_workload():
+def _workload(name, seed=1):
     spec = importlib.util.spec_from_file_location(
         "bench_workloads", os.path.join(ROOT, "bench", "workloads.py")
     )
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.make_workload("counts", 1)
+    return module.make_workload(name, seed)
+
+
+def run_workload(tmp_path, name, seed=1):
+    """Every invocation of one pass of a benchmark workload, through ``main`` in this process."""
+    workload = _workload(name, seed)
+    paths = {}
+    for tree, nodes in workload.trees.items():
+        paths[tree] = tmp_path / f"{tree}.json"
+        paths[tree].write_text(json.dumps({"nodes": nodes}))
+    return [_run(call.resolve(str(paths[call.tree]))) for call in workload.invocations]
 
 
 def _memo_bounds():
@@ -94,13 +104,7 @@ def _memo_bounds():
 
 
 def test_every_memo_is_bounded_after_the_counts_workload(tmp_path):
-    workload = _counts_workload()
-    paths = {}
-    for name, nodes in workload.trees.items():
-        paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps({"nodes": nodes}))
-    for invocation in workload.invocations:
-        _run(invocation.resolve(str(paths[invocation.tree])))
+    run_workload(tmp_path, "counts")
     info = cache_info()
     bounds = _memo_bounds()
     assert set(info) == set(bounds)
@@ -113,6 +117,7 @@ def test_every_memo_is_bounded_after_the_counts_workload(tmp_path):
         "SHAPE_ENTRIES": {"engine._term", "posets._chain_coeffs", "posets._down_set_masks"},
         "POSET_ENTRIES": {"engine._semistar_poset", "engine._base", "engine._fstar"},
         "SUM_ENTRIES": {"engine._support_sum"},
+        "MAP_ENTRIES": {"engine._maps", "engine._relations"},
     }
     for bound, names in declared.items():
         assert {name for name, b in bounds.items() if b == bound} == names, bound
@@ -134,11 +139,15 @@ def test_a_memoized_sum_cannot_be_changed_by_its_caller():
     assert engine.semistar_polynomial(t, ["N"]).evaluate({"N": 1}) == count
 
 
-def test_branch_and_map_limits_fire_after_a_default_count():
-    flat = validate_tree(
+def _flat(leaves, omega=2):
+    return validate_tree(
         {"nodes": [{"id": "0", "parent": None, "omega": 1}]
-         + [{"id": f"M{i}", "parent": "0", "omega": 2, "epsilon": 1} for i in range(4)]}
+         + [{"id": f"M{i}", "parent": "0", "omega": omega, "epsilon": 1} for i in range(leaves)]}
     )
+
+
+def test_branch_and_map_limits_fire_after_a_default_count():
+    flat = _flat(4)
     t = validate_tree(README_TREE)
     for tree, limits, message in [
         (flat, Limits(max_branches=3), "limited to 3 branches, got 4"),
@@ -149,6 +158,31 @@ def test_branch_and_map_limits_fire_after_a_default_count():
             with pytest.raises(EnumerationLimitError, match=message):
                 engine.count_semistar(tree, limits)
         assert engine.count_report(tree) == report
+    # ordered sets share map lists and relations across builds; after a default
+    # build the map limit still fires, from the count (README) or the map lists
+    for tree, message in [(t, "exceeded 1 steps"), (_flat(2), "^more than 1 maps$")]:
+        size = engine.semistar_poset(tree).size
+        for _ in range(2):
+            with pytest.raises(EnumerationLimitError, match=message):
+                engine.semistar_poset(tree, Limits(max_maps=1))
+        assert engine.semistar_poset(tree).size == size
+
+
+def test_limits_fire_before_the_pair_table_is_read():
+    clear_caches()
+    assert engine.semistar_poset(_flat(3, omega=1)).size == 61
+    assert cache_info()["spectrum._pair_table"].currsize == 1
+    # 2 480 supports at four branches: over max_poset whatever the weights
+    for limits, message in [
+        (engine.DEFAULT_LIMITS, "would hold 25716791 elements, limit is 2000"),
+        (Limits(max_branches=3, max_poset=10**7), "limited to 3 branches, got 4"),
+    ]:
+        with pytest.raises(EnumerationLimitError, match=message):
+            engine.semistar_poset(_flat(4), limits)
+        assert cache_info()["spectrum._pair_table"].currsize == 1  # the m = 3 table alone
+    with pytest.raises(EnumerationLimitError, match="limited to 3 branches, got 4"):
+        pair_table(4, max_branches=3)
+    assert cache_info()["spectrum._pair_table"].misses == 1
 
 
 # the README shape at larger weights: 1 162 elements, with branch posets of 24 and 2

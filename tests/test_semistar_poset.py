@@ -9,7 +9,9 @@ up-sets and down-sets and the same ring-closing flags.
 """
 
 import random
+from collections import Counter
 from itertools import product as cartesian
+from unittest import mock
 
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -17,10 +19,19 @@ from hypothesis import strategies as st
 from conftest import final_example, h_local, random_tree
 from test_acceptance import _oracle_lattice
 from test_differential import ORACLE_SHAPES
-from semistar import EnumerationLimitError, Limits, Poset, count_semistar, semistar_poset
+from test_memo import run_workload
+from semistar import (
+    EnumerationLimitError,
+    Limits,
+    Poset,
+    clear_caches,
+    count_semistar,
+    engine,
+    semistar_poset,
+)
 from semistar.engine import DEFAULT_LIMITS, SemistarElement, _branch_fstars
 from semistar.posets import enum_hom
-from semistar.spectrum import enumerate_supports
+from semistar.spectrum import enumerate_supports, pair_table
 
 #: the oracle-lattice trees whose ordered sets the acceptance test builds
 LATTICE_MAX_POSET = 250
@@ -130,3 +141,48 @@ def test_matches_pairwise_order_on_the_readme_tree():
     t = final_example(2, 2, 2, (3, 1), (2, 1))
     assert semistar_poset(t).size == 1162
     _assert_matches_reference(t)
+
+
+def test_pair_table_is_the_brute_force_filter_in_its_order():
+    for m, count in enumerate((1, 3, 22, 733)):
+        table, supports = pair_table(m), enumerate_supports(m)
+        assert table.supports == supports
+        nested = [
+            (j, i)
+            for j, big in enumerate(supports)
+            for i, small in enumerate(supports)
+            if small.masks <= big.masks
+        ]
+        assert list(zip(table.big, table.small)) == nested and len(nested) == count
+        for b, column in enumerate(table.columns):
+            assert [table.shapes[k] for k in column] == [s.component_poset(b)[0] for s in supports]
+            assert set(column) == set(range(len(table.shapes)))
+        for b, column in enumerate(table.pair_columns):
+            assert len(column) == count and set(column) == set(range(len(table.pairs)))
+            for (j, i), k in zip(nested, column):
+                outer, inner, at = table.pairs[k]
+                assert outer == supports[j].component_poset(b)[0]
+                assert inner == supports[i].component_poset(b)[0]
+                assert [supports[j].component(b)[p] for p in at] == list(supports[i].component(b))
+
+
+def test_each_relation_is_computed_once_per_shape(tmp_path):
+    calls = Counter()  # (branch poset, outer shape, inner shape, positions) -> computations
+    real = engine._relation
+
+    def counted(rows, row_at, cols, col_at, cone):
+        shapes = [Poset(()) if g is None else g.source for g in (rows[0], cols[0])]
+        calls[(cone.__self__, *shapes, tuple(row_at))] += 1
+        return real(rows, row_at, cols, col_at, cone)
+
+    clear_caches()
+    with mock.patch.object(engine, "_relation", counted):
+        run_workload(tmp_path, "hasse")
+    assert calls and max(calls.values()) == 1
+    # the bit transpose against the relation computed the other way round
+    max_maps = DEFAULT_LIMITS.max_maps
+    for target, outer, inner, at in calls:
+        relation, transpose = engine._relations(target, outer, inner, at, max_maps)
+        rows, cols = (engine._maps(c, target, max_maps) for c in (outer, inner))
+        assert relation == real(rows, at, cols, range(len(at)), target.up_mask)
+        assert transpose == real(cols, range(len(at)), rows, at, target.down_mask)
