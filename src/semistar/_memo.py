@@ -13,7 +13,7 @@ dozen for materialized ordered sets, which hold up to ``max_poset``
 elements each (:data:`POSET_ENTRIES`), a few hundred for support sums,
 which are one integer for a count but up to 0.6 MB for a polynomial in
 the four weights of four branches (:data:`SUM_ENTRIES`), a hundred or so
-for the branch map lists and relations that ordered sets share
+for the branch map lists, covers and restrictions that ordered sets share
 (:data:`MAP_ENTRIES`), and :data:`CACHE_ENTRIES` for the small values kept
 per tree, per pair of posets or per branch count.
 """
@@ -24,7 +24,7 @@ from functools import lru_cache, update_wrapper
 
 #: The bound of a memo of small values, one per tree or per pair of posets,
 #: and of the tables kept per branch count, which hold one entry per count
-#: up to the branch limit (the pair table of four branches is 8.9 MB).
+#: up to the branch limit (the pair table of four branches is 0.5 MB).
 CACHE_ENTRIES = 2048
 
 #: The bound of a per-shape memo, with no eviction over five branches: the
@@ -36,13 +36,13 @@ SHAPE_ENTRIES = 4480
 #: benchmark workload holds at most 14 of any one kind.
 POSET_ENTRIES = 64
 
-#: The bound of the memos of sorted branch map lists and of branch relations
-#: with their transposes, which ordered sets share per shape.  One pass of
-#: each benchmark workload (seeds 1 and 2) holds 12, 6, 3 and 20 lists and
-#: 50, 36, 7 and 89 relations (``counts``, ``labels``, ``poly``, ``hasse``).
-#: A list holds at most ``max_poset`` maps and a relation at most
-#: ``max_poset`` rows of as many bits: 0.4 MB and 1.2 MB by tracemalloc at
-#: the default 2 000, so these memos hold at most about 200 MB.
+#: The bound of the memos of sorted branch map lists, their covers and their
+#: restrictions, which ordered sets share per shape.  One pass of each
+#: benchmark workload (seeds 1 and 2) holds 12, 6, 3 and 20 lists and cover
+#: lists and 29, 17, 6 and 47 restrictions (``counts``, ``labels``, ``poly``,
+#: ``hasse``).  A list holds at most ``max_poset`` maps, 0.4 MB by tracemalloc
+#: at the default 2 000, and its covers about as much (0.37 MB for 1 953
+#: maps), so these memos hold at most about 100 MB.
 MAP_ENTRIES = 128
 
 #: The bound of the support-sum memo, one entry per tree, closing flag and

@@ -48,18 +48,17 @@ check the counts against element enumeration (``semistar_element_counts``),
 materialization (``semistar_poset``), the brute-force oracle and
 interpolation.
 
-The ordered set keeps the same product structure.  The operations of one
-support form a block, the product of the branch map lists.  Between a
-block and one of a smaller support, the order is the Kronecker product of
-one relation per branch (each map on the larger component against the
-maps above it on the smaller one), and the down-sets are the Kronecker
-product of the transposes, so no two operations are compared.  Which
-blocks nest, and which two component shapes each branch then relates,
-depends only on the branch count, so it is read from one table per count
-(``spectrum.pair_table``: 733 nested pairs at three branches).  A relation
-depends only on the branch poset, the two shapes and how one sits in the
-other, so it is memoized on them with its transpose, read off its bits,
-and shared by every build, as are the sorted map lists.
+The ordered set keeps the same product structure and is built from its
+covers.  The operations of one support form a block, the product of the
+branch map lists: inside it one branch map moves along a cover of its list's
+pointwise order.  Across blocks ``(S, f)`` lies below its restriction ``(T,
+f|T)`` to any smaller support, so it is covered in ``T`` only when ``S`` has
+one mask more (``spectrum.pair_table``: 151 such pairs at three branches),
+only by ``f|T``, and only if each branch map of ``f`` is maximal among those
+with its restriction.  The up- and down-masks are closed from the covers,
+and no two operations are compared.  A map list's covers, and its maximal
+maps with their restrictions, depend only on the branch poset, the shapes
+and how one sits in the other, so they are memoized and shared by builds.
 """
 
 from __future__ import annotations
@@ -83,6 +82,7 @@ from .posets import (
     ordinal_sum,
     product,
     subposet,
+    _closure,
     _iter_bits,
 )
 from .spectrum import (
@@ -472,36 +472,6 @@ def semistar_element_counts(
 # -- the full ordered set ---------------------------------------------------------
 
 
-def _relation(rows: Sequence, row_at, cols: Sequence, col_at, cone) -> tuple[int, ...]:
-    """Per map ``r`` of ``rows``, the bitmask of the maps ``c`` of ``cols`` related to it.
-
-    ``c`` is related to ``r`` when ``c(col_at[k])`` is in ``cone(r(row_at[k]))``
-    at every position ``k``.  Position by position, the maps of ``cols`` are
-    filed by their image there, and the column of an image ``q`` is the
-    union of the files in ``cone(q)``.  With no position every map is
-    related to every row (the lists are ``(None,)`` there).
-    """
-    out = [(1 << len(cols)) - 1] * len(rows)
-    for p, k in zip(row_at, col_at):
-        files, present = {}, 0  # ``present``: the images that have a file
-        for j, c in enumerate(cols):
-            q = c.image[k]
-            files[q] = files.get(q, 0) | 1 << j
-            present |= 1 << q
-        column = {}
-        for q in {r.image[p] for r in rows}:
-            column[q] = sum(files[i] for i in _iter_bits(cone(q) & present))
-        out = [bits & column[r.image[p]] for bits, r in zip(out, rows)]
-    return tuple(out)
-
-
-def _transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
-    """The columns of a relation ``width`` columns wide, each as a bitmask over its rows."""
-    # the last row first, so column ``c`` is every ``width``-th digit from ``width - 1 - c``
-    digits = "".join(format(bits, f"0{width}b") for bits in reversed(rows))
-    return tuple(int(digits[width - 1 - c :: width], 2) for c in range(width))
-
-
 @memo(MAP_ENTRIES)
 def _maps(component: Poset, target: Poset, max_maps: int) -> tuple[OrderMap | None, ...]:
     """The maps of a component into a branch poset sorted by image, ``(None,)`` if it is empty."""
@@ -511,32 +481,40 @@ def _maps(component: Poset, target: Poset, max_maps: int) -> tuple[OrderMap | No
 
 
 @memo(MAP_ENTRIES)
-def _relations(target: Poset, outer: Poset, inner: Poset, at: tuple[int, ...], max_maps: int):
-    """A branch's relation between two nested components, and its transpose.
+def _map_covers(component: Poset, target: Poset, max_maps: int) -> tuple[tuple[int, ...], ...]:
+    """The covers ``(lo, hi, x)`` of the pointwise order of :func:`_maps`, sorted.
 
-    Inner mask ``k`` is outer mask ``at[k]`` (see :func:`_relation`).
+    Map ``hi`` is map ``lo`` with the value at position ``x`` raised to a
+    cover of it.  Every cover is one: of maps ``f < g``, raise ``f`` at a
+    position ``x`` maximal among those where they differ, to a cover of
+    ``f(x)`` below ``g(x)``; above ``x``, ``f`` is ``g``, so it stays monotone.
     """
-    rows, cols = _maps(outer, target, max_maps), _maps(inner, target, max_maps)
-    relation = _relation(rows, at, cols, range(len(at)), target.up_mask)
-    return relation, _transpose(relation, len(cols))
+    maps = _maps(component, target, max_maps)
+    index = {() if g is None else g.image: j for j, g in enumerate(maps)}
+    upper = [[] for _ in range(target.size)]
+    for lo, hi in target.covers():
+        upper[lo].append(hi)
+    return tuple(sorted(
+        (lo, index[moved], x)
+        for lo, image in enumerate(index)
+        for x, q in enumerate(image)
+        for moved in (image[:x] + (p,) + image[x + 1 :] for p in upper[q])
+        if moved in index
+    ))
 
 
-def _kronecker(factors) -> list[int]:
-    """The rows of the Kronecker product of ``(relation, transpose)`` factors, the first outermost.
+@memo(MAP_ENTRIES)
+def _restrictions(target: Poset, outer: Poset, inner: Poset, at: tuple[int, ...], max_maps: int):
+    """The maps of ``outer`` maximal among those of equal restriction, with that restriction.
 
-    A relation has as many columns as its transpose has rows.  Row ``r`` of
-    a factor and row ``s`` of the product of the ones after it, ``width``
-    columns wide, give ``s`` copied to every ``width``-wide run whose bit is
-    set in ``r``: ``r`` with bit ``j`` moved to bit ``j * width``, times ``s``.
+    Pairs ``(r, c)``: map ``r`` of ``outer`` and its restriction ``c`` to
+    ``inner``, whose mask ``k`` is outer mask ``at[k]``.  A map is maximal
+    so when none of its covers moves a position outside ``at``.
     """
-    rows, width = [1], 1
-    for relation, transpose in reversed(factors):
-        if width > 1:
-            wide = str.maketrans({"0": "0" * width, "1": "0" * (width - 1) + "1"})
-            relation = [int(bin(r)[2:].translate(wide), 2) for r in relation]
-        rows = [w * s for w in relation for s in rows]
-        width *= len(transpose)
-    return rows
+    index = {() if g is None else g.image: c for c, g in enumerate(_maps(inner, target, max_maps))}
+    moved = {lo for lo, _, x in _map_covers(outer, target, max_maps) if x not in at}
+    rows = enumerate(_maps(outer, target, max_maps))
+    return tuple((r, index[tuple(g.image[p] for p in at)]) for r, g in rows if r not in moved)
 
 
 def semistar_poset(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> SemistarPoset:
@@ -547,14 +525,9 @@ def semistar_poset(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> Semistar
     exactly when the supports are reverse-included and every shared branch
     map is pointwise below.  The elements of one support (a block) are the
     product of the branch map lists, each sorted by image, so an element's
-    index in its block is mixed-radix in its map indices.  Between a block
-    and one of a smaller support the order is the Kronecker product, over
-    the branches, of one relation each: the maps on the larger component
-    against the maps above them on the smaller one.  The down-sets are the
-    Kronecker product of the transposes, so no pair of elements is compared.
-    The nested block pairs and each branch's pair of shapes come from
-    :func:`spectrum.pair_table`, read once the size and branch limits hold;
-    map lists and relations are memoized per shape and shared across builds.
+    index in its block is mixed-radix in its map indices.  The covers are
+    built inside blocks and across the support pairs of
+    :func:`spectrum.pair_table` (see the module docstring), then closed.
     """
     return _semistar_poset(t, limits)
 
@@ -567,10 +540,12 @@ def _semistar_poset(t: SpectrumTree, limits: Limits) -> SemistarPoset:
     table = pair_table(len(fstars), max_branches=limits.max_branches)
     # every shape occurs at every branch, so each of these lists is read
     shape_maps = [[_maps(p, f.poset, limits.max_maps) for p in table.shapes] for f in fstars]
-    offsets, elements, flags = [], [], set()
+    map_covers = [[_map_covers(p, f.poset, limits.max_maps) for p in table.shapes] for f in fstars]
+    offsets, radices, elements, flags, above = [], [], [], set(), []
     for k, support in enumerate(table.supports):  # in the order of the elements
         maps = [branch[column[k]] for branch, column in zip(shape_maps, table.columns)]
         offsets.append(len(elements))
+        radices.append([len(branch) for branch in maps])
         if support.contains_domain():  # then the domain is entry 0 of every map
             # the flagged elements are mixed-radix in the flagged maps of each branch
             flagged = [0]
@@ -579,25 +554,27 @@ def _semistar_poset(t: SpectrumTree, limits: Limits) -> SemistarPoset:
                 flagged = [o * len(branch) + j for o in flagged for j in starred]
             flags.update(len(elements) + o for o in flagged)
         elements.extend(SemistarElement(support, row) for row in cartesian(*maps))
-    relations = {}  # (relation, transpose) -> id; equal relations share their id
-    columns = []
-    for f, column in zip(fstars, table.pair_columns):
-        ids = [relations.setdefault(_relations(f.poset, *pair, limits.max_maps), len(relations))
-               for pair in table.pairs]
-        columns.append([ids[k] for k in column])
-    factors, products = list(relations), {}  # products by their relation ids
-    up, down = [0] * len(elements), [0] * len(elements)
-    for big, small, key in zip(table.big, table.small, zip(*columns) if columns else [()]):
-        if key not in products:  # block pairs with equal relations share their rows
-            terms = [factors[r] for r in key]
-            products[key] = _kronecker(terms), _kronecker([(d, u) for u, d in terms])
-        ups, downs = products[key]
-        a, b = offsets[big], offsets[small]
-        for k, row in enumerate(ups, a):
-            up[k] |= row << b
-        for k, row in enumerate(downs, b):
-            down[k] |= row << a
-    poset = Poset._unchecked(up, down)
+        above.extend([] for _ in range(len(elements) - len(above)))
+        # inside the block one branch map moves, those after it varying fastest
+        first, stride = offsets[-1], len(elements) - offsets[-1]
+        for covers, column, width in zip(map_covers, table.columns, radices[-1]):
+            span, stride = stride, stride // width
+            for lo, hi, _ in covers[column[k]]:
+                for start in range(first + lo * stride, len(elements), span):
+                    for e in range(start, start + stride):
+                        above[e].append(e + (hi - lo) * stride)
+    # across blocks, the maximal maps of each fibre go to their restrictions
+    fibres = [[_restrictions(f.poset, *pair, limits.max_maps) for pair in table.pairs]
+              for f in fstars]
+    for big, small, *ids in zip(table.big, table.small, *table.pair_columns):
+        pairs = [(0, 0)]
+        for branch, pair, rows, cols in zip(fibres, ids, radices[big], radices[small]):
+            pairs = [(a * rows + r, b * cols + c) for a, b in pairs for r, c in branch[pair]]
+        for lo, hi in pairs:
+            above[offsets[big] + lo].append(offsets[small] + hi)
+    up, down = _closure(above)
+    covers = tuple((lo, hi) for lo, his in enumerate(above) for hi in sorted(his))
+    poset = Poset._unchecked(up, down, covers)
     top = poset.unique_max()
     assert top is not None and elements[top].support.masks == frozenset({0})
     return SemistarPoset(FlaggedPoset(poset, frozenset(flags)), tuple(elements), branch_ids)

@@ -2,8 +2,9 @@
 
 Elements of a poset are the integers ``0..size-1``.  The order is stored as
 the full reachability relation, one bitmask per element, so order queries are
-O(1); covering relations are derived on demand for Hasse exports.  All values
-are immutable and every operation is a pure deterministic function, so posets
+O(1); covering relations are derived on demand for Hasse exports, or kept
+from a construction that closed them (``_closure``).  All values are
+immutable and every operation is a pure deterministic function, so posets
 can be shared freely across threads.
 
 Counting of maps P -> Q works in three regimes:
@@ -75,7 +76,7 @@ class Poset:
                     raise ValueError(f"relation is not transitive through {i} <= {j}")
         self._finish(up, size)
 
-    def _finish(self, up: tuple[int, ...], size: int, down=None):
+    def _finish(self, up: tuple[int, ...], size: int, down=None, covers=None):
         if down is None:
             down = [0] * size
             for i in range(size):
@@ -88,18 +89,19 @@ class Poset:
         object.__setattr__(self, "_up", up)
         object.__setattr__(self, "_down", tuple(down))
         object.__setattr__(self, "_hash", hash(up))
-        object.__setattr__(self, "_covers", None)
+        object.__setattr__(self, "_covers", covers)
 
     @classmethod
-    def _unchecked(cls, up_masks, down_masks=None) -> "Poset":
+    def _unchecked(cls, up_masks, down_masks=None, covers=None) -> "Poset":
         """For constructions that are partial orders by construction.
 
         ``down_masks``, when given, must be the transpose of ``up_masks``;
-        it saves the one pass over every related pair.
+        it saves the one pass over every related pair.  ``covers``, when
+        given, is the sorted tuple of covering pairs, kept for :meth:`covers`.
         """
         obj = object.__new__(cls)
         up = tuple(up_masks)
-        obj._finish(up, len(up), down_masks)
+        obj._finish(up, len(up), down_masks, covers)
         return obj
 
     def __setattr__(self, name, value):
@@ -117,24 +119,14 @@ class Poset:
 
     @classmethod
     def from_covers(cls, size: int, covers: Iterable[tuple[int, int]]) -> "Poset":
-        """Build from covering pairs ``(lo, hi)``; the transitive closure is computed."""
-        up = [1 << i for i in range(size)]
+        """Build from covering pairs ``(lo, hi)``, or any that generate the order (not a cycle)."""
+        above = [[] for _ in range(size)]
         for lo, hi in covers:
             if not (0 <= lo < size and 0 <= hi < size):
                 raise ValueError(f"cover ({lo}, {hi}) out of range")
-            up[lo] |= 1 << hi
-        # closure by repeated relaxation (sizes here are small)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(size):
-                merged = up[i]
-                for j in _iter_bits(up[i]):
-                    merged |= up[j]
-                if merged != up[i]:
-                    up[i] = merged
-                    changed = True
-        return cls(up)
+            if lo != hi:
+                above[lo].append(hi)
+        return cls._unchecked(*_closure(above))
 
     # -- order queries -------------------------------------------------------
 
@@ -176,9 +168,9 @@ class Poset:
     def covers(self) -> list[tuple[int, int]]:
         """All covering pairs ``(lo, hi)`` with nothing strictly between, computed once.
 
-        Above each ``i`` the covers are found one at a time: a minimal element
-        of what is left above ``i`` is a cover, and everything above it is
-        then dropped, so the work follows the covers, not all related pairs.
+        Unless kept by the construction, the covers above each ``i`` are found
+        one at a time: a minimal element of what is left is a cover, and all
+        above it is dropped, so the work follows the covers, not all pairs.
         """
         if self._covers is None:
             out = []
@@ -207,7 +199,7 @@ class Poset:
         return self.size
 
     def __repr__(self):
-        return f"Poset(size={self.size}, covers={self.covers()})"
+        return f"Poset(size={self.size}, pairs={sum(m.bit_count() for m in self._up) - self.size})"
 
     # -- exports ---------------------------------------------------------------
 
@@ -226,6 +218,40 @@ class Poset:
             lines.append(f"  n{lo} -> n{hi};")
         lines.append("}")
         return "\n".join(lines)
+
+
+def _topological_order(above: Sequence[Sequence[int]]) -> list[int]:
+    """Each element after all it lies over, the least ready first (Kahn); a cycle raises."""
+    waiting = [0] * len(above)
+    for his in above:
+        for hi in his:
+            waiting[hi] += 1
+    ready = sum(1 << i for i, n in enumerate(waiting) if not n)  # a bitmask, least bit first
+    order = []
+    while ready:
+        i = (ready & -ready).bit_length() - 1
+        ready ^= 1 << i
+        order.append(i)
+        for hi in above[i]:
+            waiting[hi] -= 1
+            if not waiting[hi]:
+                ready |= 1 << hi
+    if len(order) < len(above):
+        raise ValueError("the covering pairs form a cycle")
+    return order
+
+
+def _closure(above: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Up- and down-masks of the order generated by ``above[i]``, one pass each way."""
+    order = _topological_order(above)
+    up, down = [1 << i for i in range(len(above))], [1 << i for i in range(len(above))]
+    for i in reversed(order):
+        for hi in above[i]:
+            up[i] |= up[hi]
+    for i in order:
+        for hi in above[i]:
+            down[hi] |= down[i]
+    return up, down
 
 
 # -- basic constructions -------------------------------------------------------
@@ -378,16 +404,7 @@ class OrderMap:
 
 def _linear_extension(p: Poset) -> list[int]:
     """A deterministic linear extension (smallest index first among minima)."""
-    remaining = set(range(p.size))
-    placed = 0
-    order = []
-    while remaining:
-        ready = sorted(x for x in remaining if p.down_mask(x) & ~placed == (1 << x))
-        x = ready[0]
-        order.append(x)
-        remaining.remove(x)
-        placed |= 1 << x
-    return order
+    return _topological_order([list(_iter_bits(p.up_mask(i) ^ 1 << i)) for i in range(p.size)])
 
 
 def enum_hom(p: Poset, q: Poset, *, max_maps: int = DEFAULT_MAX_MAPS) -> list[OrderMap]:

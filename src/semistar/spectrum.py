@@ -677,17 +677,19 @@ def _support_table(m: int) -> SupportTable:
 
 
 class PairTable:
-    """The supports over ``m`` branches in canonical order, and the pairs of them that nest.
+    """The supports over ``m`` branches in canonical order, and which cover which.
 
     ``shapes`` are the distinct component posets, and ``columns[b]`` gives
-    each support's shape id at branch ``b``.  ``big`` and ``small`` index
-    ``supports`` by pair of nested families, ``small <= big`` since a
-    proper subfamily sorts earlier: 1, 3, 22 and 733 pairs for ``m =
-    0..3``.  ``pair_columns[b]`` gives each pair's id at branch ``b`` in
-    ``pairs``, whose entries are ``(outer, inner, at)``: the component
-    posets of the big and the small support there, and the index in the
-    outer component of each inner mask.  Relabelling the branches maps
-    supports to supports, so every shape and pair id occur at every branch.
+    each support's shape id at branch ``b``.  Nested supports ``T < S`` have
+    ``T`` plus a maximal mask of ``S - T`` between them, so ``S`` covers
+    ``T`` exactly when it has one mask more.  ``big`` and ``small`` index
+    ``supports`` by such pair, ``small < big``: 0, 1, 9 and 151 pairs for
+    ``m = 0..3``, 10 825 for ``m = 4``.  ``pair_columns[b]`` gives each
+    pair's id in ``pairs``, whose entries are ``(outer, inner, at)``: the
+    component posets at ``b`` of the big and the small support, and the
+    index in the outer component of each inner mask.  Relabelling the
+    branches maps supports to supports, so every shape and pair id occur at
+    every branch.
     """
 
     __slots__ = ("supports", "shapes", "columns", "big", "small", "pairs", "pair_columns")
@@ -695,11 +697,14 @@ class PairTable:
     def __init__(self, m: int):
         self.supports = supports = _supports(m)
         families = [sum(1 << s for s in support.masks) for support in supports]
+        index = {family: i for i, family in enumerate(families)}
         self.big, self.small = array("I"), array("I")
         for j, family in enumerate(families):
-            inside = [i for i in range(j + 1) if not families[i] & ~family]
-            self.big.extend([j] * len(inside))
-            self.small.extend(inside)
+            # the family less one nonzero mask, where that is a support
+            less = (index.get(family ^ 1 << s) for s in _iter_bits(family ^ 1))
+            covered = sorted(i for i in less if i is not None)
+            self.big.extend([j] * len(covered))
+            self.small.extend(covered)
         shapes: dict[Poset, int] = {}
         pairs: dict[tuple, int] = {}  # (outer, inner, at) -> pair id
         self.columns, self.pair_columns = [], []
@@ -721,7 +726,7 @@ class PairTable:
 
 
 def pair_table(m: int, *, max_branches: int = DEFAULT_MAX_BRANCHES) -> PairTable:
-    """The nested pairs of supports over ``m`` branches (see :class:`PairTable`).
+    """The covering pairs of supports over ``m`` branches (see :class:`PairTable`).
 
     The branch limit is that of :func:`enumerate_supports`.
     """

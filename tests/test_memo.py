@@ -117,7 +117,7 @@ def test_every_memo_is_bounded_after_the_counts_workload(tmp_path):
         "SHAPE_ENTRIES": {"engine._term", "posets._chain_coeffs", "posets._down_set_masks"},
         "POSET_ENTRIES": {"engine._semistar_poset", "engine._base", "engine._fstar"},
         "SUM_ENTRIES": {"engine._support_sum"},
-        "MAP_ENTRIES": {"engine._maps", "engine._relations"},
+        "MAP_ENTRIES": {"engine._maps", "engine._map_covers", "engine._restrictions"},
     }
     for bound, names in declared.items():
         assert {name for name, b in bounds.items() if b == bound} == names, bound

@@ -1,11 +1,13 @@
 import random
+import subprocess
+import sys
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_poset, run_fresh
+from conftest import ROOT, fresh_env, random_poset, run_fresh
 from semistar import (
     EnumerationLimitError,
     MultiPoly,
@@ -332,6 +334,43 @@ def test_covers_are_the_pairs_with_nothing_between(p):
     assert p.covers() == expected
     p.covers().clear()  # callers get a copy of the cached pairs
     assert p.covers() == expected
+
+
+def test_from_covers_is_the_closure_of_its_pairs():
+    rng = random.Random(5)
+    for _ in range(40):
+        p = random_poset(rng, max_size=8)
+        n = p.size
+        perm = rng.sample(range(n), n)  # so the index order is no topological order
+        related = [(perm[i], perm[j]) for i in range(n) for j in range(n) if p.leq(i, j)]
+        expected = Poset.from_relation(n, related)
+        for pairs in ([(perm[i], perm[j]) for i, j in p.covers()], related):
+            q = Poset.from_covers(n, rng.sample(pairs, len(pairs)))
+            assert q == expected
+            assert [q.down_mask(i) for i in range(n)] == [expected.down_mask(i) for i in range(n)]
+
+
+def test_from_covers_rejects_a_cycle():
+    with pytest.raises(ValueError, match="cycle"):
+        Poset.from_covers(3, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(ValueError, match="out of range"):
+        Poset.from_covers(2, [(0, 2)])
+
+
+def test_repr_reads_the_masks_alone():
+    assert repr(diamond()) == "Poset(size=4, pairs=5)"
+    # down-masks in which 1 and 2 lie below each other: a reduction to covers
+    # would descend between them for ever, so the repr must not reduce
+    script = (
+        "from semistar import Poset\n"
+        "print(repr(Poset._unchecked([0b111, 0b010, 0b100], [0b001, 0b111, 0b111])))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=fresh_env(),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "Poset(size=3, pairs=2)\n"
 
 
 def test_isomorphism_checker():

@@ -11,8 +11,8 @@ up-sets and down-sets and the same ring-closing flags.
 import random
 from collections import Counter
 from itertools import product as cartesian
-from unittest import mock
 
+import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -24,6 +24,7 @@ from semistar import (
     EnumerationLimitError,
     Limits,
     Poset,
+    _memo,
     clear_caches,
     count_semistar,
     engine,
@@ -106,6 +107,7 @@ def _assert_matches_reference(t, limits=DEFAULT_LIMITS):
     ]
     assert list(sp.elements) == elements
     assert sp.ring_closing == flags
+    assert sp.poset.covers() == poset.covers()  # handed over, against the reduction
 
 
 def test_matches_pairwise_order_on_the_oracle_lattice():
@@ -135,6 +137,15 @@ def test_matches_pairwise_order_on_flat_three_branches_weight_two():
     _assert_matches_reference(t, limits)
 
 
+@pytest.mark.slow
+def test_matches_pairwise_order_on_four_flat_leaves_of_weight_one():
+    # one flagged point per branch: the set is the order of the 2 480 supports
+    t = h_local([1, 1, 1, 1])
+    limits = Limits(max_poset=3000)
+    assert semistar_poset(t, limits).size == 2480
+    _assert_matches_reference(t, limits)
+
+
 def test_matches_pairwise_order_on_the_readme_tree():
     # the largest ordered set of the hasse benchmark: branch relations
     # between lists of hundreds of maps, which the oracle lattice never reaches
@@ -144,45 +155,73 @@ def test_matches_pairwise_order_on_the_readme_tree():
 
 
 def test_pair_table_is_the_brute_force_filter_in_its_order():
-    for m, count in enumerate((1, 3, 22, 733)):
+    for m, count in enumerate((0, 1, 9, 151, 10825)):
         table, supports = pair_table(m), enumerate_supports(m)
         assert table.supports == supports
-        nested = [
+        by_size = {}
+        for i, small in enumerate(supports):
+            by_size.setdefault(len(small.masks), []).append(i)
+        covering = [  # nested and one mask apart, in the order of the supports
             (j, i)
             for j, big in enumerate(supports)
-            for i, small in enumerate(supports)
-            if small.masks <= big.masks
+            for i in by_size.get(len(big.masks) - 1, ())
+            if supports[i].masks <= big.masks
         ]
-        assert list(zip(table.big, table.small)) == nested and len(nested) == count
+        assert list(zip(table.big, table.small)) == covering and len(covering) == count
+        if m == 4:
+            continue  # the columns are checked up to three branches
         for b, column in enumerate(table.columns):
             assert [table.shapes[k] for k in column] == [s.component_poset(b)[0] for s in supports]
             assert set(column) == set(range(len(table.shapes)))
         for b, column in enumerate(table.pair_columns):
             assert len(column) == count and set(column) == set(range(len(table.pairs)))
-            for (j, i), k in zip(nested, column):
+            for (j, i), k in zip(covering, column):
                 outer, inner, at = table.pairs[k]
                 assert outer == supports[j].component_poset(b)[0]
                 assert inner == supports[i].component_poset(b)[0]
                 assert [supports[j].component(b)[p] for p in at] == list(supports[i].component(b))
 
 
-def test_each_relation_is_computed_once_per_shape(tmp_path):
-    calls = Counter()  # (branch poset, outer shape, inner shape, positions) -> computations
-    real = engine._relation
+def _pointwise_leq(f, g, target):
+    return all(target.leq(p, q) for p, q in zip(f.image, g.image))
 
-    def counted(rows, row_at, cols, col_at, cone):
-        shapes = [Poset(()) if g is None else g.source for g in (rows[0], cols[0])]
-        calls[(cone.__self__, *shapes, tuple(row_at))] += 1
-        return real(rows, row_at, cols, col_at, cone)
 
+def test_each_map_factor_is_computed_once_per_shape(tmp_path, monkeypatch):
+    calls = {"engine._map_covers": Counter(), "engine._restrictions": Counter()}
+    for name, counter in calls.items():
+        entry = _memo._MEMOS[name]
+
+        def counted(*args, real=entry.func, counter=counter):
+            counter[args] += 1
+            return real(*args)
+
+        monkeypatch.setattr(entry, "func", counted)
     clear_caches()
-    with mock.patch.object(engine, "_relation", counted):
-        run_workload(tmp_path, "hasse")
-    assert calls and max(calls.values()) == 1
-    # the bit transpose against the relation computed the other way round
-    max_maps = DEFAULT_LIMITS.max_maps
-    for target, outer, inner, at in calls:
-        relation, transpose = engine._relations(target, outer, inner, at, max_maps)
+    run_workload(tmp_path, "hasse")
+    monkeypatch.undo()
+    clear_caches()
+    assert all(counter and max(counter.values()) == 1 for counter in calls.values())
+    # each against the pointwise order of the map lists, compared pair by pair
+    for component, target, max_maps in calls["engine._map_covers"]:
+        maps = engine._maps(component, target, max_maps)
+        pairs = [
+            (i, j)
+            for i, f in enumerate(maps)
+            for j, g in enumerate(maps)
+            if f is None or _pointwise_leq(f, g, target)
+        ]
+        covers = engine._map_covers(component, target, max_maps)
+        assert [(lo, hi) for lo, hi, _ in covers] == Poset.from_relation(len(maps), pairs).covers()
+        for lo, hi, x in covers:
+            moved = [k for k, (p, q) in enumerate(zip(maps[lo].image, maps[hi].image)) if p != q]
+            assert moved == [x]
+    for target, outer, inner, at, max_maps in calls["engine._restrictions"]:
         rows, cols = (engine._maps(c, target, max_maps) for c in (outer, inner))
-        assert relation == real(rows, at, cols, range(len(at)), target.up_mask)
-        assert transpose == real(cols, range(len(at)), rows, at, target.down_mask)
+        images = [() if g is None else g.image for g in cols]
+        restricted = [tuple(f.image[p] for p in at) for f in rows]
+        expected = []
+        for r, f in enumerate(rows):
+            fibre = [g for g, key in zip(rows, restricted) if key == restricted[r]]
+            if not any(g is not f and _pointwise_leq(f, g, target) for g in fibre):
+                expected.append((r, images.index(restricted[r])))
+        assert engine._restrictions(target, outer, inner, at, max_maps) == tuple(expected)
