@@ -15,6 +15,8 @@ depend on, limits included: ``clear_caches`` empties it and ``cache_info``
 reports the hits, misses and size of each memo.
 """
 
+import importlib
+
 from ._memo import cache_info, clear_caches
 from .errors import (
     EnumerationLimitError,
@@ -71,7 +73,6 @@ from .engine import (
     smstar_polynomial,
     tildhom_count,
 )
-from . import oracle
 
 __version__ = "0.1.0"
 
@@ -130,3 +131,10 @@ __all__ = [
     "tildhom_count",
     "validate_tree",
 ]
+
+
+def __getattr__(name):
+    # the brute-force reference loads on first use, so importing the CLI does not compile it
+    if name == "oracle":
+        return importlib.import_module(f"{__name__}.oracle")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,16 +15,18 @@ which are one integer for a count but up to 0.6 MB for a polynomial in
 the four weights of four branches (:data:`SUM_ENTRIES`), a hundred or so
 for the branch map lists, covers and restrictions that ordered sets share
 (:data:`MAP_ENTRIES`), and :data:`CACHE_ENTRIES` for the small values kept
-per tree, per pair of posets or per branch count.
+per tree, per pair of posets or per branch count, and for the command
+line's parsers (one per command) and validated trees (one per tree text).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, update_wrapper
 
-#: The bound of a memo of small values, one per tree or per pair of posets,
-#: and of the tables kept per branch count, which hold one entry per count
-#: up to the branch limit (the pair table of four branches is 0.5 MB).
+#: The bound of a memo of small values, one per tree, tree text, command or
+#: pair of posets, and of the tables kept per branch count, which hold one
+#: entry per count up to the branch limit (the pair table of four branches is
+#: 0.5 MB).
 CACHE_ENTRIES = 2048
 
 #: The bound of a per-shape memo, with no eviction over five branches: the

@@ -1,5 +1,17 @@
 """Command-line front end: counts, polynomials, Hasse exports, oracle checks.
 
+Every command is a row of one table, :data:`_COMMANDS`: its help line, its
+output formats, its handler and the options it adds to the common ones.
+Each command has its own ``argparse`` parser, built from its row on first
+use and memoized by name, so a call builds only the parser it runs.  The
+top-level ``semistar --help``, and the usage error of a missing or unknown
+command, come from a parser built from the same table when the first
+argument names no command.
+
+A tree file is read on every call, so a rewritten file gives the new
+tree's answer; its text is parsed and validated once per process
+(:func:`_tree`), and a text that fails stores nothing.
+
 Exit codes: 0 success (``--help`` included), 1 tree-validation failure (or
 failed oracle check), 2 enumeration bound exceeded, 3 malformed input, unknown
 node id or a usage error.
@@ -11,11 +23,13 @@ import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 
-from . import engine, oracle
+from . import engine
 from ._memo import CACHE_ENTRIES, memo
 from .errors import EnumerationLimitError, SpectrumValidationError, UnknownNodeError
 from .spectrum import (
+    SpectrumTree,
     branch_subtree,
     enumerate_supports,
     skeleton,
@@ -29,58 +43,24 @@ EXIT_BOUND = 2
 EXIT_BAD_INPUT = 3
 
 
-def _add_common(sub: argparse.ArgumentParser, formats: tuple[str, ...]):
-    sub.add_argument("tree", help="path to a spectrum JSON file")
-    sub.add_argument("--format", choices=formats, default=formats[0])
-    sub.add_argument("--max-branches", type=int, default=engine.DEFAULT_LIMITS.max_branches)
-    sub.add_argument(
-        "--max-maps",
-        type=int,
-        default=None,  # read from the environment on every call, in _limits
-        help="enumeration cap (env SEMISTAR_MAX_MAPS)",
-    )
-    sub.add_argument("--max-poset", type=int, default=engine.DEFAULT_LIMITS.max_poset)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="semistar",
-        description="Exact counts of semistar and star operations from a labeled spectral tree.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    _add_common(commands.add_parser("validate", help="check the tree invariants"), ("text",))
-    _add_common(commands.add_parser("count", help="all four cardinalities"), ("text", "json"))
-
-    poly = commands.add_parser("poly", help="recover a counting polynomial")
-    _add_common(poly, ("text", "json"))
-    kind = poly.add_mutually_exclusive_group(required=True)
+def _poly_options(parser: argparse.ArgumentParser):
+    kind = parser.add_mutually_exclusive_group(required=True)
     kind.add_argument("--semistar", action="store_true", help="count all semistar operations")
     kind.add_argument("--smstar", action="store_true", help="count the domain-closing ones")
-    poly.add_argument(
+    parser.add_argument(
         "--var", action="append", default=[], metavar="ID", help="symbolic weight at this root child"
     )
-    poly.add_argument(
+    parser.add_argument(
         "--eps-var", action="append", default=[], metavar="ID",
         help="symbolic epsilon at this leaf (smstar only)",
     )
 
-    hasse = commands.add_parser("hasse", help="export a Hasse diagram")
-    _add_common(hasse, ("dot", "json"))
-    hasse.add_argument(
+
+def _hasse_options(parser: argparse.ArgumentParser):
+    parser.add_argument(
         "--target", default="semistar",
         help='"semistar", "fstar:<root-child-id>", or "tree"',
     )
-
-    _add_common(commands.add_parser("supports", help="list the supports"), ("text", "json"))
-    _add_common(commands.add_parser("oracle-check", help="engine vs brute force"), ("text",))
-    return parser
-
-
-@memo(CACHE_ENTRIES)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use; ``parse_args`` leaves it unchanged."""
-    return build_parser()
 
 
 def _limits(args) -> engine.Limits:
@@ -92,12 +72,18 @@ def _limits(args) -> engine.Limits:
     )
 
 
-def _load(path):
+def _load(path) -> SpectrumTree:
     with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except RecursionError:
-            raise ValueError("JSON input nests too deeply") from None
+        return _tree(handle.read())
+
+
+@memo(CACHE_ENTRIES)
+def _tree(text: str) -> SpectrumTree:
+    """The validated tree of a JSON text, parsed and validated once per process."""
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input nests too deeply") from None
     return validate_tree(data)
 
 
@@ -145,12 +131,10 @@ def _cmd_hasse(args) -> int:
         return EXIT_OK
     if target == "semistar":
         sp = engine.semistar_poset(tree, limits)
-        # the elements of a support come in a row and share one Support: label it once
-        flagged, labels, last = sp.flagged, [], None
-        for e in sp.elements:
-            if e.support is not last:
-                last, name = e.support, e.support.label(sp.branch_ids)
-            labels.append(name)
+        # the elements of a support come in a block and share its label
+        flagged, labels = sp.flagged, []
+        for first, end in zip(sp.offsets, (*sp.offsets[1:], sp.size)):
+            labels += [sp.elements[first].support.label(sp.branch_ids)] * (end - first)
     elif target.startswith("fstar:"):
         child = target.split(":", 1)[1]
         if child not in standard_decomposition(tree):
@@ -192,6 +176,8 @@ def _cmd_supports(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    from . import oracle  # the brute-force reference, imported by this command alone
+
     tree = _load(args.tree)
     limits = _limits(args)
     engine_counts = (
@@ -213,23 +199,67 @@ def _cmd_oracle_check(args) -> int:
     return EXIT_OK if ok else EXIT_INVALID
 
 
+#: A command: its help line, its output formats (the first is the default), its
+#: handler and what adds its options beyond the common ones (``None`` for none).
+_Command = namedtuple("_Command", "help formats run options")
+
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "count": _cmd_count,
-    "poly": _cmd_poly,
-    "hasse": _cmd_hasse,
-    "supports": _cmd_supports,
-    "oracle-check": _cmd_oracle_check,
+    "validate": _Command("check the tree invariants", ("text",), _cmd_validate, None),
+    "count": _Command("all four cardinalities", ("text", "json"), _cmd_count, None),
+    "poly": _Command("recover a counting polynomial", ("text", "json"), _cmd_poly, _poly_options),
+    "hasse": _Command("export a Hasse diagram", ("dot", "json"), _cmd_hasse, _hasse_options),
+    "supports": _Command("list the supports", ("text", "json"), _cmd_supports, None),
+    "oracle-check": _Command("engine vs brute force", ("text",), _cmd_oracle_check, None),
 }
 
 
+@memo(CACHE_ENTRIES)
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, built on first use; ``parse_args`` leaves it unchanged."""
+    command = _COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"semistar {name}")
+    parser.add_argument("tree", help="path to a spectrum JSON file")
+    parser.add_argument("--format", choices=command.formats, default=command.formats[0])
+    parser.add_argument("--max-branches", type=int, default=engine.DEFAULT_LIMITS.max_branches)
+    parser.add_argument(
+        "--max-maps",
+        type=int,
+        default=None,  # read from the environment on every call, in _limits
+        help="enumeration cap (env SEMISTAR_MAX_MAPS)",
+    )
+    parser.add_argument("--max-poset", type=int, default=engine.DEFAULT_LIMITS.max_poset)
+    if command.options is not None:
+        command.options(parser)
+    return parser
+
+
+def _usage_parser() -> argparse.ArgumentParser:
+    """The top-level parser: ``semistar --help`` and the usage of a missing or unknown command."""
+    listing = "".join(f"  {name:<22}{command.help}\n" for name, command in _COMMANDS.items())
+    parser = argparse.ArgumentParser(
+        prog="semistar",
+        usage=f"%(prog)s [-h] {{{','.join(_COMMANDS)}}} ...",
+        description="Exact counts of semistar and star operations from a labeled spectral tree.",
+        epilog=f"commands:\n{listing}\nsemistar <command> --help lists the options of a command.",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument(
+        "command", choices=_COMMANDS, metavar="command", help="one of the commands below"
+    )
+    return parser
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)
+        if not argv or argv[0] not in _COMMANDS:
+            # no command is named, so this exits: 0 after --help, else a usage error
+            _usage_parser().parse_args(argv[:1])
+        args = _command_parser(argv[0]).parse_args(argv[1:])
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_BAD_INPUT
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[argv[0]].run(args)
     except SpectrumValidationError as exc:
         for problem in exc.problems:
             print(f"invalid: {problem}", file=sys.stderr)

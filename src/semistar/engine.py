@@ -164,11 +164,16 @@ class SemistarElement:
 
 @dataclass(frozen=True)
 class SemistarPoset:
-    """The full ordered set of semistar operations with per-element labels."""
+    """The full ordered set of semistar operations with per-element labels.
+
+    The elements of one support come in a block; ``offsets`` holds the index
+    of the first element of each block, in the order of the elements.
+    """
 
     flagged: FlaggedPoset
     elements: tuple[SemistarElement, ...]
     branch_ids: tuple[str, ...]
+    offsets: tuple[int, ...]
 
     @property
     def poset(self) -> Poset:
@@ -577,7 +582,9 @@ def _semistar_poset(t: SpectrumTree, limits: Limits) -> SemistarPoset:
     poset = Poset._unchecked(up, down, covers)
     top = poset.unique_max()
     assert top is not None and elements[top].support.masks == frozenset({0})
-    return SemistarPoset(FlaggedPoset(poset, frozenset(flags)), tuple(elements), branch_ids)
+    return SemistarPoset(
+        FlaggedPoset(poset, frozenset(flags)), tuple(elements), branch_ids, tuple(offsets)
+    )
 
 
 def fstar_product(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> FlaggedPoset:

@@ -246,18 +246,27 @@ def test_limits_in_one_process_match_fresh_runs(fex_path, capsys):
             assert result == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
-def test_poly_calls_in_one_process_match_fresh_runs(fex_path, capsys):
+def test_poly_calls_in_one_process_match_fresh_runs(fex_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap alike in both processes
+    # poly calls among the other commands, usage errors and help: parsers and trees are shared
     calls = [
         ["poly", fex_path, "--semistar", "--var", "P", "--var", "N"],
+        ["count", fex_path],
         ["poly", fex_path, "--smstar", "--var", "N", "--eps-var", "N"],
+        ["hasse", fex_path, "--format", "json"],
         ["poly", fex_path, "--semistar", "--var", "N", "--format", "json"],
+        ["--help"],
+        ["poly", fex_path, "--smstar", "--bogus"],
+        ["bogus"],
+        ["supports", fex_path],
         ["poly", fex_path, "--smstar", "--var", "P"],
+        ["validate", fex_path],
     ]
     in_process = [run(capsys, *argv) for argv in calls]
     for argv, (code, out, err) in zip(calls, in_process):
         fresh = run_fresh(f"import sys\nfrom semistar.cli import main\nsys.exit(main({argv!r}))")
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
-        assert code == 0
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 0, 0, 0, 3, 3, 0, 0, 0]
 
 
 def test_missing_file_exit_3(capsys):
@@ -265,14 +274,26 @@ def test_missing_file_exit_3(capsys):
     assert code == 3
 
 
+_COMMAND_NAMES = ("validate", "count", "poly", "hasse", "supports", "oracle-check")
+
+
 def test_usage_errors_exit_3_and_help_exits_0(fex_path, capsys):
     # exit 2 means an enumeration bound, so argparse's own usage exit is not passed on
-    for argv in (["count"], ["count", fex_path, "--max-branches", "x"]):
+    bad_options = (["--max-branches", "x"], ["--bogus"])
+    for argv in (["count"], *(["count", fex_path, *option] for option in bad_options)):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err.startswith("usage: semistar count")
-    code, out, _ = run(capsys, "count", "--help")
-    assert code == 0 and out.startswith("usage: semistar count")
+    for argv in ([], ["bogus"], ["--bogus"], ["cou", fex_path]):  # no command, or none known
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("usage: semistar [-h] {validate,count,")
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: semistar [-h]") and err == ""
+    assert all(f"\n  {name} " in out for name in _COMMAND_NAMES)
+    for name in _COMMAND_NAMES:
+        code, out, err = run(capsys, name, "--help")
+        assert code == 0 and out.startswith(f"usage: semistar {name} [-h]") and err == ""
     import subprocess
     import sys
 
@@ -328,6 +349,52 @@ def test_hasse_labels_name_each_element_by_its_support(fex_path, capsys):
     code, out, _ = run(capsys, "hasse", fex_path)
     assert code == 0
     assert out == sp.flagged.to_dot(labels=expected) + "\n"
+
+
+def test_importing_the_cli_leaves_the_oracle_unloaded():
+    proc = run_fresh(
+        "import sys\nimport semistar.cli\nprint('semistar.oracle' in sys.modules)\n"
+        "from semistar import oracle\nimport semistar\n"
+        "print(oracle.__name__, semistar.oracle is oracle, 'oracle' in semistar.__all__)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "semistar.oracle", "True", "True"]
+
+
+# -- tree files: read on every call, parsed and validated once per text ------------------
+
+
+def test_a_rewritten_tree_file_gives_the_new_tree_answer(tmp_path, capsys):
+    from semistar import cache_info, clear_caches
+
+    clear_caches()
+    path = tmp_path / "tree.json"
+    answers = []
+    for spec in (FEX, Y_DOUBLE, FEX):
+        path.write_text(json.dumps(spec))
+        code, out, _ = run(capsys, "count", str(path), "--format", "json")
+        assert code == 0
+        answers.append(json.loads(out)["semistar"])
+    assert answers == [67, 31, 67]
+    info = cache_info()["cli._tree"]
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)  # each text parsed once
+
+
+def test_a_failing_tree_text_fails_alike_on_every_call_and_stores_nothing(tmp_path, capsys):
+    from semistar import _memo, cache_info
+
+    info = cache_info()
+    assert info["cli._tree"].maxsize == info["cli._command_parser"].maxsize == _memo.CACHE_ENTRIES
+    path = tmp_path / "bad.json"
+    root, leaf = {"id": "0", "parent": None, "omega": 1}, {"id": "P", "parent": "0", "omega": 0}
+    invalid = {"nodes": [root, leaf]}  # a weight of 0
+    for text, expected in [('{"nodes": [', 3), ("[" * 100_000, 3), (json.dumps(invalid), 1)]:
+        path.write_text(text)
+        before = cache_info()["cli._tree"]
+        results = [run(capsys, "count", str(path)) for _ in range(3)]
+        after = cache_info()["cli._tree"]
+        assert results[0][0] == expected and results.count(results[0]) == 3, results
+        assert after.currsize == before.currsize and after.misses == before.misses + 3
 
 
 # -- malformed input ---------------------------------------------------------------------

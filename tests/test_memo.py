@@ -14,6 +14,7 @@ import pytest
 from conftest import run_fresh
 from semistar import EnumerationLimitError, Limits, _memo, cache_info, clear_caches
 from semistar import engine
+from semistar import oracle  # noqa: F401  the CLI leaves it unloaded; this registers its memos
 from semistar.cli import main
 from semistar.spectrum import branch_subtree, pair_table, validate_tree
 
