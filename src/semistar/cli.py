@@ -34,7 +34,7 @@ from .spectrum import (
     enumerate_supports,
     skeleton,
     standard_decomposition,
-    validate_tree,
+    _read_tree,
 )
 
 EXIT_OK = 0
@@ -80,11 +80,7 @@ def _load(path) -> SpectrumTree:
 @memo(CACHE_ENTRIES)
 def _tree(text: str) -> SpectrumTree:
     """The validated tree of a JSON text, parsed and validated once per process."""
-    try:
-        data = json.loads(text)
-    except RecursionError:
-        raise ValueError("JSON input nests too deeply") from None
-    return validate_tree(data)
+    return _read_tree(text)
 
 
 def _cmd_validate(args) -> int:

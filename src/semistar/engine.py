@@ -39,12 +39,12 @@ branch's quotient and flag count but not its weight, so it is memoized on
 that pair: every leaf with the same epsilon shares one factor per shape,
 whatever its weight or id.  The sum itself is memoized per tree, closing
 flag, symbolic branches and limits, so a warm count is a lookup.  The
-table has two multiplicity columns, the supports of each row and those of
-them that contain the domain, so the domain-closing sum reads the same
-rows.  The table is read from the supports as integer bitsets over the
-skeleton masks, so counts and polynomials build no ``Support``; only the
-ordered set and element enumeration walk ``enumerate_supports``.  The tests
-check the counts against element enumeration (``semistar_element_counts``),
+table has one row per support and a ``closing`` byte marking those that
+contain the domain, so the domain-closing sum starts from it and reads
+the same rows.  The table is read from the supports as integer bitsets
+over the skeleton masks, so counts and polynomials build no ``Support``;
+only element enumeration walks ``enumerate_supports``.  The tests check
+the counts against element enumeration (``semistar_element_counts``),
 materialization (``semistar_poset``), the brute-force oracle and
 interpolation.
 
@@ -59,6 +59,8 @@ with its restriction.  The up- and down-masks are closed from the covers,
 and no two operations are compared.  A map list's covers, and its maximal
 maps with their restrictions, depend only on the branch poset, the shapes
 and how one sits in the other, so they are memoized and shared by builds.
+The pair table holds the support table's rows in canonical order with the
+same shapes, so counts and the ordered set number the shapes alike.
 """
 
 from __future__ import annotations
@@ -368,12 +370,12 @@ def _support_sum(
 ) -> Mapping[tuple[int, ...], int]:
     """Sum over supports of the product of the branch factors, in the binomial basis.
 
-    The supports come as one shape table (a column of component shapes per
-    branch, identical rows merged, every shape in every column), so each
-    branch takes its factor once per shape.  ``closing`` counts a row by
-    its supports containing the domain, the table's second multiplicity
-    column, and sends the domain to ring-closing elements.  A branch at
-    its label is folded into the row multiplicities one column at a time.
+    The supports come as one shape table (a row per support, a column of
+    component shapes per branch, every shape in every column), so each
+    branch takes its factor once per shape.  ``closing`` counts only the
+    rows whose support contains the domain (the table's ``closing`` byte)
+    and sends the domain to ring-closing elements.  A branch at its label
+    is folded into the row products one column at a time.
     The root children in ``symbolic`` stay polynomials in their weights:
     rows are grouped by their symbolic shapes and expanded into one dict
     ``{(k_1, ..., k_s): c}`` for the sum of ``c * C(n_1, k_1) ... C(n_s,
@@ -383,7 +385,7 @@ def _support_sum(
     """
     records = _branches(t, limits)
     table = support_table(len(records), max_branches=limits.max_branches)
-    acc, kept = list(table.closing if closing else table.multiplicity), []
+    acc, kept = list(table.closing) if closing else [1] * len(table.closing), []
     for record, column in zip(records, table.columns):
         factors = [_term(record.reads, component, closing, limits) for component in table.shapes]
         if record.child in symbolic:

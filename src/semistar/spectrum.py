@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -316,9 +315,18 @@ def build_tree(rows: Iterable) -> SpectrumTree:
 
 
 def load_tree(path) -> SpectrumTree:
-    """Read and validate a tree from a JSON file."""
+    """Read and validate a tree from a JSON file, as the command line reads one."""
     with open(path, "r", encoding="utf-8") as handle:
-        return validate_tree(json.load(handle))
+        return _read_tree(handle.read())
+
+
+def _read_tree(text: str) -> SpectrumTree:
+    """Parse and validate a tree from a JSON text; nesting too deep is a ``ValueError``."""
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input nests too deeply") from None
+    return validate_tree(data)
 
 
 # -- standard decomposition and surgery ------------------------------------------
@@ -451,9 +459,8 @@ class Support:
 
     branch_count: int
     masks: frozenset[int]
-    # computed once: the ordered set and element enumeration read components per branch
+    # computed once: labels and components read the masks in this order
     _sorted: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _components: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         full = (1 << self.branch_count) - 1
@@ -468,12 +475,7 @@ class Support:
                     raise ValueError(
                         f"family is not union-closed: {a} | {b} = {a | b} is missing"
                     )
-        ordered = tuple(sorted(self.masks, key=_component_sort_key))
-        components = tuple(
-            tuple(m for m in ordered if (m >> b) & 1) for b in range(self.branch_count)
-        )
-        object.__setattr__(self, "_sorted", ordered)
-        object.__setattr__(self, "_components", components)
+        object.__setattr__(self, "_sorted", tuple(sorted(self.masks, key=_component_sort_key)))
 
     @property
     def full_mask(self) -> int:
@@ -489,7 +491,7 @@ class Support:
         """The masks of the family whose ring sits inside the given branch."""
         if not 0 <= branch < self.branch_count:
             raise ValueError(f"branch index {branch} out of range")
-        return self._components[branch]
+        return tuple(m for m in self._sorted if m >> branch & 1)
 
     def component_poset(self, branch: int) -> tuple[Poset, int | None]:
         """The component as a poset, plus the index of the domain if present.
@@ -520,33 +522,31 @@ def _component_poset(masks: tuple[int, ...], full_mask: int) -> tuple[Poset, int
 
 
 class SupportTable:
-    """The supports over ``m`` branches, reduced to the shapes of their components.
+    """The supports over ``m`` branches, each read as the shapes of its components.
 
-    A support enters a support sum only through its component posets, one
-    per branch, so the sum needs just: ``shapes``, the distinct component
-    posets; ``columns[i]``, each row's shape id at branch ``i``;
-    ``multiplicity``, the number of supports with that row (identical rows
-    are merged); and ``closing``, how many of those contain the domain.  A
-    component is union-closed, so its union, which holds the most bits,
-    sorts first: a shape's element 0 is its minimum, the domain when the
-    support contains it.  Columns are ``bytes`` while the shape ids fit, so
-    a table for four branches holds about 20 kB.
+    Row ``k`` is the support ``families[k]``, a bitset of
+    :func:`_union_closed`.  A support enters a support sum only through its
+    component posets, one per branch, so the sum needs just: ``shapes``, the
+    distinct component posets; ``columns[i]``, each row's shape id at branch
+    ``i``; and ``closing``, one byte per row, 1 when the support contains
+    the domain.  A component is union-closed, so its union, which holds the
+    most bits, sorts first: a shape's element 0 is its minimum, the domain
+    when the support contains it.
 
-    The table is read from the family bitsets of :func:`_union_closed`, with
-    no :class:`Support` built: a branch's component is the family's bitset
-    masked by that branch.  A component is ordered as its link, the family
-    over ``m - 1`` branches left when that branch's bit is taken out of
-    each of its masks, so each distinct link is sorted into a poset once
-    (at most 122 at four branches).  Rows and shape ids come in generation
-    order, not in canonical support order; a sum over the table does not
-    depend on it.
+    The table is read from the family bitsets, with no :class:`Support`
+    built: a branch's component is the family's bitset masked by that
+    branch.  A component is ordered as its link, the family over ``m - 1``
+    branches left when that branch's bit is taken out of each of its masks,
+    so each distinct link is sorted into a poset once (at most 122 at four
+    branches).  Rows and shape ids come in generation order, not in
+    canonical support order; a sum over the table does not depend on it,
+    and :class:`PairTable` puts the rows in canonical order.
     """
 
-    __slots__ = ("shapes", "columns", "multiplicity", "closing")
+    __slots__ = ("families", "shapes", "columns", "closing")
 
     def __init__(self, m: int):
-        full = (1 << m) - 1
-        families = _union_closed(m)
+        self.families = families = _union_closed(m)
         ids: dict[Poset, int] = {}
         by_link: dict[int, int] = {}  # link bitset -> shape id
         columns = []
@@ -558,15 +558,10 @@ class SupportTable:
                     masks = tuple(sorted(_iter_bits(link), key=_component_sort_key))
                     by_link[link] = ids.setdefault(_reverse_inclusion(masks), len(ids))
                 shape_of[component] = by_link[link]
-            columns.append([shape_of[family & part] for family in families])
-        keys = list(zip(*columns)) if m else [()] * len(families)
-        rows = Counter(keys)
-        closing = Counter(key for key, family in zip(keys, families) if family >> full & 1)
-        self.shapes = tuple(ids)
-        columns = ([row[i] for row in rows] for i in range(m))
-        self.columns = tuple(bytes(c) if len(ids) <= 256 else array("I", c) for c in columns)
-        self.multiplicity = array("I", rows.values())
-        self.closing = array("I", (closing[row] for row in rows))
+            columns.append(array("I", (shape_of[family & part] for family in families)))
+        self.shapes, self.columns = tuple(ids), tuple(columns)
+        full = (1 << m) - 1
+        self.closing = bytes(family >> full & 1 for family in families)
 
 
 def _inside(m: int) -> tuple[int, ...]:
@@ -679,23 +674,26 @@ def _support_table(m: int) -> SupportTable:
 class PairTable:
     """The supports over ``m`` branches in canonical order, and which cover which.
 
-    ``shapes`` are the distinct component posets, and ``columns[b]`` gives
-    each support's shape id at branch ``b``.  Nested supports ``T < S`` have
-    ``T`` plus a maximal mask of ``S - T`` between them, so ``S`` covers
-    ``T`` exactly when it has one mask more.  ``big`` and ``small`` index
-    ``supports`` by such pair, ``small < big``: 0, 1, 9 and 151 pairs for
-    ``m = 0..3``, 10 825 for ``m = 4``.  ``pair_columns[b]`` gives each
-    pair's id in ``pairs``, whose entries are ``(outer, inner, at)``: the
-    component posets at ``b`` of the big and the small support, and the
-    index in the outer component of each inner mask.  Relabelling the
-    branches maps supports to supports, so every shape and pair id occur at
-    every branch.
+    ``shapes`` is the tuple of :func:`support_table`, and ``columns[b]`` is
+    that table's column at branch ``b``, its rows put in the order of
+    ``supports``.  Nested supports ``T < S`` have ``T`` plus a maximal mask
+    of ``S - T`` between them, so ``S`` covers ``T`` exactly when it has one
+    mask more.  ``big`` and ``small`` index ``supports`` by such pair,
+    ``small < big``: 0, 1, 9 and 151 pairs for ``m = 0..3``, 10 825 for
+    ``m = 4``.  ``pair_columns[b]`` gives each pair's id in ``pairs``, whose
+    entries are ``(outer, inner, at)``: the component posets at ``b`` of the
+    big and the small support, and the index in the outer component of each
+    inner mask.  A component is the family's bitset masked by the branch,
+    so ``at`` is worked out once per distinct pair of component bitsets.
+    Relabelling the branches maps supports to supports, so every shape and
+    pair id occur at every branch.
     """
 
     __slots__ = ("supports", "shapes", "columns", "big", "small", "pairs", "pair_columns")
 
     def __init__(self, m: int):
         self.supports = supports = _supports(m)
+        table = _support_table(m)
         families = [sum(1 << s for s in support.masks) for support in supports]
         index = {family: i for i, family in enumerate(families)}
         self.big, self.small = array("I"), array("I")
@@ -705,24 +703,27 @@ class PairTable:
             covered = sorted(i for i in less if i is not None)
             self.big.extend([j] * len(covered))
             self.small.extend(covered)
-        shapes: dict[Poset, int] = {}
+        row = {family: k for k, family in enumerate(table.families)}
+        order = [row[family] for family in families]  # the table row of each support
+        self.shapes = table.shapes
+        self.columns = [array("I", (column[k] for k in order)) for column in table.columns]
         pairs: dict[tuple, int] = {}  # (outer, inner, at) -> pair id
-        self.columns, self.pair_columns = [], []
-        for b in range(m):
-            parts: dict[tuple, int] = {}  # the components at ``b``, numbered
-            ids = [parts.setdefault(support.component(b), len(parts)) for support in supports]
-            components, n = list(parts), len(parts)
-            posets = [_component_poset(c, (1 << m) - 1)[0] for c in components]
-            shape_ids = [shapes.setdefault(p, len(shapes)) for p in posets]
-            self.columns.append(array("I", (shape_ids[k] for k in ids)))
+        self.pair_columns = []
+        for part, column in zip(_inside(m), self.columns):
+            parts: dict[int, int] = {}  # the component bitsets at this branch, numbered
+            ids = [parts.setdefault(family & part, len(parts)) for family in families]
+            components = [sorted(_iter_bits(c), key=_component_sort_key) for c in parts]
+            n = len(parts)
             keys = [ids[j] * n + ids[i] for j, i in zip(self.big, self.small)]
             found = {}  # pair ids by ``outer * n + inner``
-            for key in dict.fromkeys(keys):
-                outer, inner = divmod(key, n)
-                at = tuple(map(components[outer].index, components[inner]))
-                found[key] = pairs.setdefault((posets[outer], posets[inner], at), len(pairs))
+            for key, j, i in zip(keys, self.big, self.small):
+                if key not in found:
+                    outer, inner = divmod(key, n)
+                    at = tuple(map(components[outer].index, components[inner]))
+                    pair = (self.shapes[column[j]], self.shapes[column[i]], at)
+                    found[key] = pairs.setdefault(pair, len(pairs))
             self.pair_columns.append(array("I", map(found.__getitem__, keys)))
-        self.shapes, self.pairs = tuple(shapes), tuple(pairs)
+        self.pairs = tuple(pairs)
 
 
 def pair_table(m: int, *, max_branches: int = DEFAULT_MAX_BRANCHES) -> PairTable:

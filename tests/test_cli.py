@@ -413,6 +413,15 @@ def test_deeply_nested_json_exit_3(tmp_path):
     assert "Traceback" not in proc.stderr and "nests too deeply" in proc.stderr
 
 
+def test_load_tree_reports_deep_nesting_as_the_command_line_does(tmp_path):
+    from semistar.spectrum import load_tree
+
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(ValueError, match="^JSON input nests too deeply$"):
+        load_tree(path)
+
+
 _COMMANDS = (
     ("count",), ("validate",), ("supports",), ("hasse",), ("oracle-check",),
     ("poly", "--semistar"),

@@ -32,7 +32,7 @@ from semistar import (
 )
 from semistar.engine import DEFAULT_LIMITS, SemistarElement, _branch_fstars
 from semistar.posets import enum_hom
-from semistar.spectrum import enumerate_supports, pair_table
+from semistar.spectrum import enumerate_supports, pair_table, support_table
 
 #: the oracle-lattice trees whose ordered sets the acceptance test builds
 LATTICE_MAX_POSET = 250
@@ -158,6 +158,7 @@ def test_pair_table_is_the_brute_force_filter_in_its_order():
     for m, count in enumerate((0, 1, 9, 151, 10825)):
         table, supports = pair_table(m), enumerate_supports(m)
         assert table.supports == supports
+        assert table.shapes is support_table(m).shapes  # one shape numbering per m
         by_size = {}
         for i, small in enumerate(supports):
             by_size.setdefault(len(small.masks), []).append(i)

@@ -222,18 +222,18 @@ def _rows_as_shapes(table, multiplicity):
 def test_tables_count_every_support_once():
     for m, (supports, closing) in enumerate([(1, 1), (2, 1), (7, 4), (61, 45), (2480, 2271)]):
         table = support_table(m)
-        assert sum(table.multiplicity) == supports == len(enumerate_supports(m))
+        n = len(table.closing)
+        assert n == supports == len(enumerate_supports(m)) == len(table.families)
         assert sum(table.closing) == closing
+        assert set(table.closing) <= {0, 1}
         assert len(table.columns) == m
-        assert len(table.closing) == len(table.multiplicity)
-        assert all(c <= n for c, n in zip(table.closing, table.multiplicity))
-        assert all(len(c) == len(table.multiplicity) for c in table.columns)
+        assert all(len(c) == n for c in table.columns)
         assert all(s < len(table.shapes) for c in table.columns for s in c)
         # every branch meets every shape, so the support sum needs each shape's factor
         assert all(set(c) == set(range(len(table.shapes))) for c in table.columns)
         assert all(isinstance(shape, Poset) for shape in table.shapes)
         # the table reads family bitsets; the supports give the same rows one by one
-        assert _rows_as_shapes(table, table.multiplicity) == _rows_by_support(m, False)
+        assert _rows_as_shapes(table, [1] * n) == _rows_by_support(m, False)
         assert _rows_as_shapes(table, table.closing) == _rows_by_support(m, True)
         supports = enumerate_supports(m)
         assert list(supports) == sorted(supports, key=Support.sort_key)
@@ -287,7 +287,7 @@ _FIVE_FLAT_LEAVES_SCRIPT = (
     "limits = Limits(max_branches=5)\n"
     "t = h_local([1] * 5, [1] * 5)\n"
     "table = support_table(5, max_branches=5)\n"
-    "print(sum(table.multiplicity), sum(table.closing))\n"
+    "print(len(table.closing), sum(table.closing))\n"
     "print(count_semistar(t, limits), count_smstar(t, limits))\n"
     "info = cache_info()\n"
     "print(*(info[name].misses - info[name].currsize for name in\n"
