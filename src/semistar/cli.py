@@ -129,8 +129,8 @@ def _cmd_hasse(args) -> int:
         sp = engine.semistar_poset(tree, limits)
         # the elements of a support come in a block and share its label
         flagged, labels = sp.flagged, []
-        for first, end in zip(sp.offsets, (*sp.offsets[1:], sp.size)):
-            labels += [sp.elements[first].support.label(sp.branch_ids)] * (end - first)
+        for label, first, end in zip(sp.block_labels, sp.offsets, (*sp.offsets[1:], sp.size)):
+            labels += [label] * (end - first)
     elif target.startswith("fstar:"):
         child = target.split(":", 1)[1]
         if child not in standard_decomposition(tree):
@@ -176,10 +176,7 @@ def _cmd_oracle_check(args) -> int:
 
     tree = _load(args.tree)
     limits = _limits(args)
-    engine_counts = (
-        engine.count_semistar(tree, limits),
-        engine.count_smstar(tree, limits),
-    )
+    engine_counts = (engine.count_semistar(tree, limits), engine.count_smstar(tree, limits))
     element_counts = engine.semistar_element_counts(tree, limits)
     brute = oracle.brute_semistar_count(tree)
     rows = [

@@ -1,50 +1,35 @@
 """Ordered sets and counts of closure operations from a labeled spectral tree.
 
 Everything is assembled branch by branch.  A branch (a child ``c`` of the
-root) is kept as a record ``(base, flags, omega)``: its fractional-star
-operations are ``base`` with a chain of length ``omega(c)`` stacked above,
-and ``flags`` marks the ring-closing ones.  For a leaf the base is empty and
-the flags are the bottom ``epsilon(c)`` chain elements.  Otherwise the base
-is the semistar poset of the quotient tree (re-rooted at ``c``) minus its
-top, the all-to-field closure, and the flags are the quotient's ring-closing
-operations; their numbers come from counting the quotient, and the base is
-built only when a count needs its order.
+root) is a record ``(base, flags, omega)``: its fractional-star operations
+are ``base`` with a chain of length ``omega(c)`` stacked above, ``flags``
+the ring-closing ones.  For a leaf the base is empty and the flags are the
+bottom ``epsilon(c)`` chain elements.  Otherwise the base is the semistar
+poset of the quotient tree (re-rooted at ``c``) minus its top, and the
+flags are the quotient's ring-closing operations; their numbers come from
+counting the quotient, and the base is built only when a count needs it.
 
-The semistar operations of the whole tree are classified by their support, a
-union-closed family of skeleton masks containing the quotient-field mask.
-The operations with a fixed support correspond to tuples of order-preserving
-maps, one per branch meeting the support, from the support component into
-that branch's fractional-star poset; comparison across supports reverses the
-support inclusion.  An operation closes the domain exactly when its support
-contains the domain and every branch map sends the domain to a ring-closing
-element.
+The semistar operations are classified by their support, a union-closed
+family of skeleton masks containing the quotient-field mask.  Those with a
+fixed support are the tuples of order-preserving maps, one per branch met,
+from the support component into that branch's fractional-star poset, and
+comparison across supports reverses the support inclusion.  An operation
+closes the domain when its support contains the domain and every branch
+map sends the domain to a ring-closing element.
 
-A count is a sum over supports of products of per-branch polynomials in the
-branch weights, since maps of a component ``C`` into base plus an ``n``-chain
-split at the chain: the sum over down-sets ``D`` of ``|hom(D, base)|`` times
-Stanley's order polynomial of ``C - D`` at ``n``.  Every such factor is kept
-as integers ``e_k`` in the binomial basis, ``sum(e_k * C(n, k))``, where order
-polynomials have integer coefficients.  Evaluated at the labels the sum is a
-count, in integers only; left symbolic in chosen branches it is a sum of
-integer multiples of products of binomials.  A symbolic epsilon joins the
-same basis: the count is affine in it, so the relabelled sums at epsilon 1
-and 2 combine as ``C(eps, 0) (2 P(1) - P(2)) + C(eps, 1) (P(2) - P(1))``.
-Every polynomial answer is one ``MultiPoly.from_binomial``, with no
-polynomial arithmetic on the way.  The weight chain is never built to count.
-A support's term depends only on its component shapes, so the sum runs over
-one table per branch count (``spectrum.support_table``: 2 480 supports but
-38 shapes at four branches): each branch's factor is taken once per shape
-and multiplied into the rows column by column.  A factor reads the
-branch's quotient and flag count but not its weight, so it is memoized on
-that pair: every leaf with the same epsilon shares one factor per shape,
-whatever its weight or id.  The sum itself is memoized per tree, closing
-flag, symbolic branches and limits, so a warm count is a lookup.  The
-table has one row per support and a ``closing`` byte marking those that
-contain the domain, so the domain-closing sum starts from it and reads
-the same rows.  The table is read from the supports as integer bitsets
-over the skeleton masks, so counts and polynomials build no ``Support``;
-only element enumeration walks ``enumerate_supports``.  The tests check
-the counts against element enumeration (``semistar_element_counts``),
+A count is a sum over supports of products of per-branch factors: the maps
+of a component ``C`` into base plus an ``n``-chain split at the chain, into
+the sum over down-sets ``D`` of ``|hom(D, base)|`` times Stanley's order
+polynomial of ``C - D`` at ``n``.  Each factor is kept as integers ``e_k``
+in the binomial basis, ``sum(e_k * C(n, k))``, so a count takes integers
+only, a polynomial is one ``MultiPoly.from_binomial`` (a symbolic epsilon
+enters affinely, see :func:`smstar_polynomial`), and the weight chain is
+never built.  The sum runs over one shape table per branch count
+(``spectrum.support_table``: 2 480 supports but 38 shapes at four
+branches, read from the support bitsets with no ``Support`` built), each
+branch's factor taken once per shape and memoized on what it reads
+(:class:`_Reads`, :func:`_support_sum`).  The tests check the counts
+against element enumeration (``semistar_element_counts``),
 materialization (``semistar_poset``), the brute-force oracle and
 interpolation.
 
@@ -55,16 +40,18 @@ pointwise order.  Across blocks ``(S, f)`` lies below its restriction ``(T,
 f|T)`` to any smaller support, so it is covered in ``T`` only when ``S`` has
 one mask more (``spectrum.pair_table``: 151 such pairs at three branches),
 only by ``f|T``, and only if each branch map of ``f`` is maximal among those
-with its restriction.  The up- and down-masks are closed from the covers,
-and no two operations are compared.  A map list's covers, and its maximal
-maps with their restrictions, depend only on the branch poset, the shapes
-and how one sits in the other, so they are memoized and shared by builds.
-The pair table holds the support table's rows in canonical order with the
-same shapes, so counts and the ordered set number the shapes alike.
+with its restriction.  No two operations are compared: the covers, sorted
+once, are the stored form of the set, closed into up- and down-masks only
+when the order is read (a count's base reads it, ``hasse`` does not).  A
+map list's covers and maximal maps depend only on the branch poset, the
+shapes and how one sits in the other, so builds share them.  The pair
+table holds the support bitsets in canonical order with the support
+table's shapes, so counts and the ordered set number the shapes alike.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import product as cartesian
 from math import prod
@@ -84,7 +71,7 @@ from .posets import (
     ordinal_sum,
     product,
     subposet,
-    _closure,
+    _CoverPoset,
     _iter_bits,
 )
 from .spectrum import (
@@ -97,6 +84,7 @@ from .spectrum import (
     quotient_subtree,
     standard_decomposition,
     support_table,
+    _family_label,
 )
 
 
@@ -117,7 +105,7 @@ class FlaggedPoset:
     """A poset with a marked down-set of ring-closing elements.
 
     The minimum (the identity operation) always closes the ring, and the
-    marked set is closed downwards, so both are enforced here.
+    marked set is closed downwards; both are checked on the covers if kept.
     """
 
     poset: Poset
@@ -132,8 +120,7 @@ class FlaggedPoset:
         for i in self.ring_closing:
             if not 0 <= i < self.poset.size:
                 raise ValueError(f"flag {i} out of range")
-        marked = sum(1 << i for i in self.ring_closing)
-        if any(self.poset.down_mask(i) & ~marked for i in self.ring_closing):
+        if not self.poset.is_down_set(self.ring_closing):
             raise ValueError("ring-closing elements must form a down-set")
 
     @property
@@ -154,10 +141,8 @@ class FlaggedPoset:
 class SemistarElement:
     """One semistar operation: a support plus one branch map per met branch.
 
-    ``maps`` is aligned with the branch order; entries are ``None`` exactly
-    for the branches whose support component is empty.  The support holding
-    only the quotient field gives the single all-to-field operation, with no
-    maps at all.
+    ``maps`` follows the branch order, ``None`` where the support component
+    is empty: the support of the quotient field alone has no maps at all.
     """
 
     support: Support
@@ -166,16 +151,28 @@ class SemistarElement:
 
 @dataclass(frozen=True)
 class SemistarPoset:
-    """The full ordered set of semistar operations with per-element labels.
+    """The full ordered set of semistar operations, one block of elements per support.
 
     The elements of one support come in a block; ``offsets`` holds the index
-    of the first element of each block, in the order of the elements.
+    of the first element of each block, ``families`` its support as a
+    bitset over the skeleton masks, ``block_labels`` its label, and
+    ``block_maps`` its map list per branch, in the order of the elements.
+    An element is decoded from these only when it is read (:attr:`elements`).
     """
 
     flagged: FlaggedPoset
-    elements: tuple[SemistarElement, ...]
     branch_ids: tuple[str, ...]
     offsets: tuple[int, ...]
+    families: tuple[int, ...]
+    block_labels: tuple[str, ...]
+    block_maps: tuple[tuple[tuple[OrderMap | None, ...], ...], ...]
+
+    @property
+    def elements(self) -> tuple[SemistarElement, ...]:
+        """Every element, decoded from the blocks on each read (no build reads them)."""
+        supports = [Support(len(self.branch_ids), frozenset(_iter_bits(f))) for f in self.families]
+        pairs = zip(supports, self.block_maps)
+        return tuple(SemistarElement(s, row) for s, maps in pairs for row in cartesian(*maps))
 
     @property
     def poset(self) -> Poset:
@@ -202,11 +199,9 @@ def _check_size(size: int, limits: Limits, what: str = "semistar poset"):
 class _Reads:
     """What a branch's factors and base read: its quotient (``None`` for a leaf) and flag count.
 
-    It compares and hashes by that pair alone, so branches with an equal
-    pair share their factors and base: every leaf with the same epsilon,
-    whatever its weight or id, and every internal branch over the same
-    quotient.  ``tree`` is one such branch, the one a factor is computed
-    from; ``tildhom_count`` reads only the pair and the limits from it.
+    Compared and hashed by that pair alone, so every leaf with the same
+    epsilon, and every internal branch over the same quotient, shares its
+    factors and base.  ``tree`` is one such branch, for ``tildhom_count``.
     """
 
     quotient: SpectrumTree | None
@@ -259,20 +254,16 @@ def _base(reads: _Reads, limits: Limits) -> tuple[Poset, frozenset[int]]:
     what = f"semistar poset of quotient {quotient.root_id!r}"
     _check_size(count_semistar(quotient, limits), limits, what)
     sp = semistar_poset(quotient, limits)
-    top = sp.poset.unique_max()
-    assert top is not None and sp.elements[top].support.masks == frozenset({0})
-    assert top not in sp.ring_closing
-    base = subposet(sp.poset, (i for i in range(sp.size) if i != top))
-    return base, frozenset(i if i < top else i - 1 for i in sp.ring_closing)
+    # block 0 is the support {K} alone: element 0, the all-to-field operation, is the top
+    assert sp.families[0] == 1 and sp.poset.unique_max() == 0 and 0 not in sp.ring_closing
+    return subposet(sp.poset, range(1, sp.size)), frozenset(i - 1 for i in sp.ring_closing)
 
 
 def fstar_poset(branch: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> FlaggedPoset:
     """Fractional-star operations of a single-branch tree, with star flags.
 
-    The branch's base with a chain of length ``omega`` stacked above: a chain
-    with the bottom ``epsilon`` elements starred for a leaf child, else the
-    quotient's semistar poset minus its top, starred where its operations
-    close the ring.  The size is checked before any building.
+    The branch's base with a chain of length ``omega`` stacked above, as in
+    the module docstring; the size is checked before any building.
     """
     return _fstar(_single_branch(branch, limits), limits)
 
@@ -305,25 +296,18 @@ def _shifted(h: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def tildhom_count(
-    component: Poset,
-    d_index: int | None,
-    branch: SpectrumTree,
-    limits: Limits = DEFAULT_LIMITS,
+    component: Poset, d_index: int | None, branch: SpectrumTree, limits: Limits = DEFAULT_LIMITS
 ) -> tuple[int, ...]:
     """Maps of a support component into one branch, as a polynomial in its weight ``n``.
 
-    The polynomial is returned as integers ``e`` in the binomial basis: the
-    count is ``sum(e[k] * C(n, k))`` (``MultiPoly.from_binomial`` expands it).
-    With no designated domain element this counts every order-preserving
-    map into base plus an ``n``-chain (``|base| + n``, that is
-    ``(|base|, 1)``, for one point, with no base built).  Otherwise the
-    domain is the minimum of the component and must go to a starred element
-    ``q``; the rest of the component maps into the up-set of ``q``.  For an
-    internal branch the flags lie in the base, so the count sums the maps of
-    the rest into up-set plus chain over the flags.  For a leaf the flags
-    are the bottom ``epsilon`` chain elements, which gives
-    ``h(n) + (epsilon - 1) h(n - 1)`` with ``h`` the order polynomial of the
-    rest.
+    Returned as integers ``e`` with the count ``sum(e[k] * C(n, k))``.  With
+    no designated domain element this counts every order-preserving map into
+    base plus an ``n``-chain (``(|base|, 1)`` for one point, no base built).
+    Otherwise the domain, the component's minimum, goes to a starred element
+    ``q`` and the rest into the up-set of ``q``: for an internal branch, a
+    sum over the flags in the base of the maps into up-set plus chain; for a
+    leaf, whose flags are the bottom ``epsilon`` chain elements,
+    ``h(n) + (epsilon - 1) h(n - 1)``, ``h`` the order polynomial of the rest.
     """
     record = _single_branch(branch, limits)
     if d_index is None:
@@ -370,18 +354,14 @@ def _support_sum(
 ) -> Mapping[tuple[int, ...], int]:
     """Sum over supports of the product of the branch factors, in the binomial basis.
 
-    The supports come as one shape table (a row per support, a column of
-    component shapes per branch, every shape in every column), so each
-    branch takes its factor once per shape.  ``closing`` counts only the
-    rows whose support contains the domain (the table's ``closing`` byte)
-    and sends the domain to ring-closing elements.  A branch at its label
-    is folded into the row products one column at a time.
-    The root children in ``symbolic`` stay polynomials in their weights:
-    rows are grouped by their symbolic shapes and expanded into one dict
-    ``{(k_1, ..., k_s): c}`` for the sum of ``c * C(n_1, k_1) ... C(n_s,
-    k_s)``, indices in branch order.  A count is its ``()`` entry.  The sum
-    is memoized, so it is returned as a read-only view that every caller
-    shares.
+    Each branch takes its factor once per shape of the support table.
+    ``closing`` keeps the rows whose support contains the domain and sends
+    the domain to ring-closing elements.  A branch at its label is folded
+    into the row products one column at a time; those in ``symbolic`` stay
+    polynomials in their weights, their rows grouped by shapes and expanded
+    into ``{(k_1, ..., k_s): c}`` for the sum of ``c * C(n_1, k_1) ...
+    C(n_s, k_s)``, indices in branch order.  A count is the ``()`` entry.
+    The sum is memoized, so it is a read-only view every caller shares.
     """
     records = _branches(t, limits)
     table = support_table(len(records), max_branches=limits.max_branches)
@@ -467,9 +447,7 @@ def semistar_element_counts(
             maps = enum_hom(poset, fstar.poset, max_maps=limits.max_maps)
             sizes.append(len(maps))
             if support.contains_domain():
-                starred.append(
-                    sum(1 for m in maps if m.image[d_index] in fstar.ring_closing)
-                )
+                starred.append(sum(1 for m in maps if m.image[d_index] in fstar.ring_closing))
         total += prod(sizes)
         if support.contains_domain():
             flagged += prod(starred)
@@ -527,14 +505,12 @@ def _restrictions(target: Poset, outer: Poset, inner: Poset, at: tuple[int, ...]
 def semistar_poset(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> SemistarPoset:
     """Materialize the ordered set of semistar operations, flags included.
 
-    Elements are sorted by (support, map images).  The identity is the
-    minimum, the all-to-field operation the maximum; comparisons hold
-    exactly when the supports are reverse-included and every shared branch
-    map is pointwise below.  The elements of one support (a block) are the
-    product of the branch map lists, each sorted by image, so an element's
-    index in its block is mixed-radix in its map indices.  The covers are
-    built inside blocks and across the support pairs of
-    :func:`spectrum.pair_table` (see the module docstring), then closed.
+    Elements are sorted by (support, map images): the identity is the
+    minimum, the all-to-field operation the maximum, and ``a <= b`` exactly
+    when the support of ``a`` contains that of ``b`` and every shared branch
+    map of ``a`` is pointwise below.  In the block of one support an index is
+    mixed-radix in the map indices.  The set is kept as its covers (see the
+    module docstring); the masks are closed when the order is read.
     """
     return _semistar_poset(t, limits)
 
@@ -542,34 +518,42 @@ def semistar_poset(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> Semistar
 @memo(POSET_ENTRIES)
 def _semistar_poset(t: SpectrumTree, limits: Limits) -> SemistarPoset:
     branch_ids = standard_decomposition(t)
-    _check_size(count_semistar(t, limits), limits)
+    n = count_semistar(t, limits)
+    _check_size(n, limits)
     fstars = _branch_fstars(t, limits)
     table = pair_table(len(fstars), max_branches=limits.max_branches)
     # every shape occurs at every branch, so each of these lists is read
     shape_maps = [[_maps(p, f.poset, limits.max_maps) for p in table.shapes] for f in fstars]
     map_covers = [[_map_covers(p, f.poset, limits.max_maps) for p in table.shapes] for f in fstars]
-    offsets, radices, elements, flags, above = [], [], [], set(), []
-    for k, support in enumerate(table.supports):  # in the order of the elements
-        maps = [branch[column[k]] for branch, column in zip(shape_maps, table.columns)]
-        offsets.append(len(elements))
+    full = (1 << len(fstars)) - 1
+    first, offsets, radices, blocks, flags, keys = 0, [], [], [], set(), []
+    for k, family in enumerate(table.families):  # in the order of the elements
+        maps = tuple(branch[column[k]] for branch, column in zip(shape_maps, table.columns))
+        offsets.append(first)
         radices.append([len(branch) for branch in maps])
-        if support.contains_domain():  # then the domain is entry 0 of every map
+        blocks.append(maps)
+        if family >> full & 1:  # the support holds the domain, entry 0 of every map
             # the flagged elements are mixed-radix in the flagged maps of each branch
             flagged = [0]
             for f, branch in zip(fstars, maps):
                 starred = [j for j, g in enumerate(branch) if g.image[0] in f.ring_closing]
                 flagged = [o * len(branch) + j for o in flagged for j in starred]
-            flags.update(len(elements) + o for o in flagged)
-        elements.extend(SemistarElement(support, row) for row in cartesian(*maps))
-        above.extend([] for _ in range(len(elements) - len(above)))
-        # inside the block one branch map moves, those after it varying fastest
-        first, stride = offsets[-1], len(elements) - offsets[-1]
+            flags.update(first + o for o in flagged)
+        # inside the block one branch map moves, those after it varying fastest: the
+        # elements at its map ``lo`` are runs of ``stride``, ``span`` apart, so the keys
+        # of their covers are ranges, along the runs or across them, whichever is longer
+        stride = block = prod(radices[-1])
         for covers, column, width in zip(map_covers, table.columns, radices[-1]):
             span, stride = stride, stride // width
+            along, across = (n + 1, stride), (span * (n + 1), block // span)
+            if along[1] < across[1]:
+                along, across = across, along
             for lo, hi, _ in covers[column[k]]:
-                for start in range(first + lo * stride, len(elements), span):
-                    for e in range(start, start + stride):
-                        above[e].append(e + (hi - lo) * stride)
+                start = (first + lo * stride) * (n + 1) + (hi - lo) * stride
+                for run in range(start, start + across[0] * across[1], across[0]):
+                    keys.extend(range(run, run + along[0] * along[1], along[0]))
+        first += block
+    assert first == n
     # across blocks, the maximal maps of each fibre go to their restrictions
     fibres = [[_restrictions(f.poset, *pair, limits.max_maps) for pair in table.pairs]
               for f in fstars]
@@ -577,25 +561,20 @@ def _semistar_poset(t: SpectrumTree, limits: Limits) -> SemistarPoset:
         pairs = [(0, 0)]
         for branch, pair, rows, cols in zip(fibres, ids, radices[big], radices[small]):
             pairs = [(a * rows + r, b * cols + c) for a, b in pairs for r, c in branch[pair]]
-        for lo, hi in pairs:
-            above[offsets[big] + lo].append(offsets[small] + hi)
-    up, down = _closure(above)
-    covers = tuple((lo, hi) for lo, his in enumerate(above) for hi in sorted(his))
-    poset = Poset._unchecked(up, down, covers)
-    top = poset.unique_max()
-    assert top is not None and elements[top].support.masks == frozenset({0})
-    return SemistarPoset(
-        FlaggedPoset(poset, frozenset(flags)), tuple(elements), branch_ids, tuple(offsets)
-    )
+        corner = offsets[big] * n + offsets[small]
+        keys.extend(corner + lo * n + hi for lo, hi in pairs)
+    keys.sort()  # a cover (lo, hi) is the key lo * n + hi, so one sort orders them all
+    los, his = array("I", [key // n for key in keys]), array("I", [key % n for key in keys])
+    flagged = FlaggedPoset(_CoverPoset(n, los, his), frozenset(flags))
+    labels = tuple(_family_label(family, branch_ids) for family in table.families)
+    return SemistarPoset(flagged, branch_ids, tuple(offsets), table.families, labels, tuple(blocks))
 
 
 def fstar_product(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> FlaggedPoset:
     """All fractional-star operations as a product of the branch posets.
 
-    Branch by branch there is a bijection; representing the whole set with
-    the componentwise product order is a modeling choice (only the branch
-    posets carry an intrinsic order), so nothing downstream depends on the
-    order of this object -- counts use cardinalities only.
+    The componentwise order is a modeling choice (only the branch posets
+    carry an intrinsic order); nothing downstream depends on it.
     """
     if len(t.nodes) == 1:
         return FlaggedPoset(chain(1), frozenset({0}))
@@ -604,9 +583,7 @@ def fstar_product(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> FlaggedPo
     acc = fstars[0]
     for nxt in fstars[1:]:
         combined = product(acc.poset, nxt.poset)
-        flags = frozenset(
-            a * nxt.size + b for a in acc.ring_closing for b in nxt.ring_closing
-        )
+        flags = frozenset(a * nxt.size + b for a in acc.ring_closing for b in nxt.ring_closing)
         acc = FlaggedPoset(combined, flags)
     return acc
 
@@ -654,13 +631,10 @@ def smstar_polynomial(
 
     Weight variables must be children of the root; they stay symbolic in the
     support sum of ``count_smstar``.  Epsilon variables may sit at any leaf
-    and are named ``eps_<id>``.  Since epsilon takes only the values 1 and 2,
-    the count is affine in it: the polynomial is ``(2 - eps) P(1) + (eps - 1)
-    P(2)`` in each epsilon variable, with ``P(e)`` the polynomial of the tree
-    relabelled with that epsilon.  In the binomial basis that is ``C(eps, 0)
-    (2 P(1) - P(2)) + C(eps, 1) (P(2) - P(1))``, so the relabelled sums are
-    combined in integers, with an index 0 or 1 per epsilon, and the answer is
-    one ``MultiPoly.from_binomial``.
+    and are named ``eps_<id>``.  Epsilon is 1 or 2, so the count is affine
+    in it: ``C(eps, 0) (2 P(1) - P(2)) + C(eps, 1) (P(2) - P(1))`` in the
+    binomial basis, ``P(e)`` the sum of the tree relabelled with that
+    epsilon, combined in integers into one ``MultiPoly.from_binomial``.
     """
     if not omega_variables and not epsilon_variables:
         raise ValueError("need at least one symbolic node")

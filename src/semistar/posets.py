@@ -2,10 +2,10 @@
 
 Elements of a poset are the integers ``0..size-1``.  The order is stored as
 the full reachability relation, one bitmask per element, so order queries are
-O(1); covering relations are derived on demand for Hasse exports, or kept
-from a construction that closed them (``_closure``).  All values are
-immutable and every operation is a pure deterministic function, so posets
-can be shared freely across threads.
+O(1); covering relations are derived on demand for Hasse exports, and a poset
+built from its covers keeps them and closes them into masks (``_closure``)
+when the order is first read.  All values are immutable and every operation
+is deterministic, so posets can be shared freely across threads.
 
 Counting of maps P -> Q works in three regimes:
 
@@ -28,6 +28,8 @@ chains are exempt, as the down-sets of a chain of ``N`` are its ``N + 1`` prefix
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -74,34 +76,31 @@ class Poset:
                     raise ValueError(f"relation is not antisymmetric on {{{i}, {j}}}")
                 if up[j] & ~up[i]:
                     raise ValueError(f"relation is not transitive through {i} <= {j}")
-        self._finish(up, size)
+        self._finish(up)
 
-    def _finish(self, up: tuple[int, ...], size: int, down=None, covers=None):
+    def _finish(self, up: tuple[int, ...], down=None, covers=None):
         if down is None:
-            down = [0] * size
-            for i in range(size):
-                mask = up[i]
+            down = [0] * len(up)
+            for i, mask in enumerate(up):
                 while mask:
                     low = mask & -mask
                     down[low.bit_length() - 1] |= 1 << i
                     mask ^= low
-        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "size", len(up))
         object.__setattr__(self, "_up", up)
         object.__setattr__(self, "_down", tuple(down))
         object.__setattr__(self, "_hash", hash(up))
         object.__setattr__(self, "_covers", covers)
 
     @classmethod
-    def _unchecked(cls, up_masks, down_masks=None, covers=None) -> "Poset":
+    def _unchecked(cls, up_masks, down_masks=None) -> "Poset":
         """For constructions that are partial orders by construction.
 
         ``down_masks``, when given, must be the transpose of ``up_masks``;
-        it saves the one pass over every related pair.  ``covers``, when
-        given, is the sorted tuple of covering pairs, kept for :meth:`covers`.
+        it saves the one pass over every related pair.
         """
         obj = object.__new__(cls)
-        up = tuple(up_masks)
-        obj._finish(up, len(up), down_masks, covers)
+        obj._finish(tuple(up_masks), down_masks)
         return obj
 
     def __setattr__(self, name, value):
@@ -156,36 +155,53 @@ class Poset:
         return None
 
     def unique_min(self) -> int | None:
+        """The minimum, if any: from the covers when kept, the one element with none below it."""
+        if self._covers is not None:
+            lowest = set(range(self.size)).difference(self._covers[1])
+            return lowest.pop() if len(lowest) == 1 else None
         full = (1 << self.size) - 1
         for i in range(self.size):
             if self._up[i] == full:
                 return i
         return None
 
+    def is_down_set(self, elements: Iterable[int]) -> bool:
+        """Whether every element below one of ``elements`` is one; from the covers when kept."""
+        inside = set(elements)
+        if self._covers is not None:
+            return all(lo in inside for lo, hi in zip(*self._covers) if hi in inside)
+        marked = sum(1 << i for i in inside)
+        return not any(self._down[i] & ~marked for i in inside)
+
     def is_chain(self) -> bool:
         return sorted(m.bit_count() for m in self._up) == list(range(1, self.size + 1))
 
-    def covers(self) -> list[tuple[int, int]]:
-        """All covering pairs ``(lo, hi)`` with nothing strictly between, computed once.
+    def _cover_columns(self) -> tuple[array, array]:
+        """The covering pairs as two sorted columns ``(los, his)``; kept, or derived once.
 
-        Unless kept by the construction, the covers above each ``i`` are found
-        one at a time: a minimal element of what is left is a cover, and all
-        above it is dropped, so the work follows the covers, not all pairs.
+        The covers above ``i`` are found one at a time: a minimal element of
+        what is left is one, and all above it is dropped.
         """
         if self._covers is None:
-            out = []
+            los, his = array("I"), array("I")
             for i in range(self.size):
-                rest = self._up[i] ^ (1 << i)
+                rest, found = self._up[i] ^ (1 << i), []
                 while rest:
                     j = (rest & -rest).bit_length() - 1
                     lower = self._down[j] & rest ^ (1 << j)
                     while lower:  # descend to a minimal element of ``rest``
                         j = (lower & -lower).bit_length() - 1
                         lower = self._down[j] & rest ^ (1 << j)
-                    out.append((i, j))
+                    found.append(j)
                     rest &= ~self._up[j]
-            object.__setattr__(self, "_covers", tuple(sorted(out)))
-        return list(self._covers)
+                los.extend([i] * len(found))
+                his.extend(sorted(found))
+            object.__setattr__(self, "_covers", (los, his))
+        return self._covers
+
+    def covers(self) -> list[tuple[int, int]]:
+        """All covering pairs ``(lo, hi)`` with nothing strictly between, sorted."""
+        return list(zip(*self._cover_columns()))
 
     # -- value semantics -------------------------------------------------------
 
@@ -204,20 +220,48 @@ class Poset:
     # -- exports ---------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {"size": self.size, "covers": [list(c) for c in self.covers()]}
+        return {"size": self.size, "covers": [[lo, hi] for lo, hi in zip(*self._cover_columns())]}
 
     def to_dot(self, labels: Sequence[str] | None = None, flagged: Iterable[int] = ()) -> str:
         """Hasse diagram as DOT; flagged nodes are drawn with a double border."""
         flagged = set(flagged)
+        escaped = {} if labels is None else {text: _dot_escaped(text) for text in set(labels)}
         lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=ellipse];"]
         for i in range(self.size):
-            label = labels[i] if labels is not None else str(i)
+            label = escaped[labels[i]] if labels is not None else str(i)
             extra = ", peripheries=2" if i in flagged else ""
             lines.append(f'  n{i} [label="{label}"{extra}];')
-        for lo, hi in self.covers():
-            lines.append(f"  n{lo} -> n{hi};")
+        lines.extend(f"  n{lo} -> n{hi};" for lo, hi in zip(*self._cover_columns()))
         lines.append("}")
         return "\n".join(lines)
+
+
+class _CoverPoset(Poset):
+    """A poset kept as its covers ``(los[k], his[k])``, sorted and acyclic, closed when read.
+
+    An unset mask or hash slot reaches ``__getattr__``, which closes them
+    once; the hook slows every attribute read, so plain posets lack it.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, size: int, los: array, his: array):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "_covers", (los, his))
+
+    def __getattr__(self, name):
+        if name not in ("_up", "_down", "_hash"):
+            raise AttributeError(name)
+        los, his = self._covers
+        starts = [bisect_left(los, i) for i in range(self.size + 1)]
+        up, down = _closure([his[a:b] for a, b in zip(starts, starts[1:])])
+        self._finish(tuple(up), down, self._covers)
+        return object.__getattribute__(self, name)
+
+
+def _dot_escaped(text: str) -> str:
+    """``text`` for a quoted DOT string: each backslash and double quote escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def _topological_order(above: Sequence[Sequence[int]]) -> list[int]:
@@ -415,9 +459,7 @@ def enum_hom(p: Poset, q: Poset, *, max_maps: int = DEFAULT_MAX_MAPS) -> list[Or
     order-preserving by construction.
     """
     ext = _linear_extension(p)
-    preds = [
-        [y for y in ext[:k] if p.lt(y, x)] for k, x in enumerate(ext)
-    ]
+    preds = [[y for y in ext[:k] if p.lt(y, x)] for k, x in enumerate(ext)]
     full = (1 << q.size) - 1
     image = [0] * p.size
     out: list[OrderMap] = []

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from ._memo import CACHE_ENTRIES, memo
 from .errors import EnumerationLimitError, SpectrumValidationError, UnknownNodeError
-from .posets import Poset, _iter_bits
+from .posets import Poset, _iter_bits, _dot_escaped
 
 #: Default cap on the number of branches in support enumerations.
 DEFAULT_MAX_BRANCHES = 4
@@ -135,17 +135,10 @@ class SpectrumTree:
         epsilon = dict(epsilon or {})
         for key in list(omega) + list(epsilon):
             self.node(key)
-        new_nodes = []
-        for n in self.nodes:
-            new_nodes.append(
-                TreeNode(
-                    n.id,
-                    n.parent,
-                    omega.get(n.id, n.omega),
-                    epsilon.get(n.id, n.epsilon),
-                )
-            )
-        return SpectrumTree(new_nodes)
+        return SpectrumTree([
+            TreeNode(n.id, n.parent, omega.get(n.id, n.omega), epsilon.get(n.id, n.epsilon))
+            for n in self.nodes
+        ])
 
     # -- serialization ------------------------------------------------------------
 
@@ -165,7 +158,7 @@ class SpectrumTree:
         lines = ["digraph spectrum {", "  rankdir=BT;", "  node [shape=box];"]
         index = {n.id: k for k, n in enumerate(self.nodes)}
         for n in self.nodes:
-            label = f"{n.id}\\nomega={n.omega}"
+            label = f"{_dot_escaped(n.id)}\\nomega={n.omega}"
             if n.epsilon is not None:
                 label += f", eps={n.epsilon}"
             lines.append(f'  n{index[n.id]} [label="{label}"];')
@@ -459,8 +452,6 @@ class Support:
 
     branch_count: int
     masks: frozenset[int]
-    # computed once: labels and components read the masks in this order
-    _sorted: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         full = (1 << self.branch_count) - 1
@@ -472,10 +463,7 @@ class Support:
         for a in self.masks:
             for b in self.masks:
                 if (a | b) not in self.masks:
-                    raise ValueError(
-                        f"family is not union-closed: {a} | {b} = {a | b} is missing"
-                    )
-        object.__setattr__(self, "_sorted", tuple(sorted(self.masks, key=_component_sort_key)))
+                    raise ValueError(f"family is not union-closed: {a} | {b} = {a | b} is missing")
 
     @property
     def full_mask(self) -> int:
@@ -484,14 +472,11 @@ class Support:
     def contains_domain(self) -> bool:
         return self.full_mask in self.masks
 
-    def sorted_masks(self) -> tuple[int, ...]:
-        return self._sorted
-
     def component(self, branch: int) -> tuple[int, ...]:
         """The masks of the family whose ring sits inside the given branch."""
         if not 0 <= branch < self.branch_count:
             raise ValueError(f"branch index {branch} out of range")
-        return tuple(m for m in self._sorted if m >> branch & 1)
+        return tuple(sorted((m for m in self.masks if m >> branch & 1), key=_component_sort_key))
 
     def component_poset(self, branch: int) -> tuple[Poset, int | None]:
         """The component as a poset, plus the index of the domain if present.
@@ -506,8 +491,18 @@ class Support:
         return (len(self.masks), tuple(sorted(self.masks)))
 
     def label(self, branch_ids: Sequence[str]) -> str:
-        names = [_mask_label(m, branch_ids) for m in self.sorted_masks()]
-        return "{" + ", ".join(names) + "}"
+        return _family_label(sum(1 << m for m in self.masks), branch_ids)
+
+
+def _family_label(family: int, branch_ids: Sequence[str]) -> str:
+    """The label of the support whose masks are the bits of ``family``, the largest mask first."""
+    masks = sorted(_iter_bits(family), key=_component_sort_key)
+    return "{" + ", ".join(_mask_label(m, branch_ids) for m in masks) + "}"
+
+
+def _family_key(family: int):
+    """The canonical order of supports as bitsets: size, then the masks in ascending order."""
+    return family.bit_count(), tuple(_iter_bits(family))
 
 
 def _reverse_inclusion(masks: Sequence[int]) -> Poset:
@@ -525,22 +520,17 @@ class SupportTable:
     """The supports over ``m`` branches, each read as the shapes of its components.
 
     Row ``k`` is the support ``families[k]``, a bitset of
-    :func:`_union_closed`.  A support enters a support sum only through its
-    component posets, one per branch, so the sum needs just: ``shapes``, the
-    distinct component posets; ``columns[i]``, each row's shape id at branch
-    ``i``; and ``closing``, one byte per row, 1 when the support contains
-    the domain.  A component is union-closed, so its union, which holds the
-    most bits, sorts first: a shape's element 0 is its minimum, the domain
-    when the support contains it.
-
-    The table is read from the family bitsets, with no :class:`Support`
-    built: a branch's component is the family's bitset masked by that
-    branch.  A component is ordered as its link, the family over ``m - 1``
-    branches left when that branch's bit is taken out of each of its masks,
-    so each distinct link is sorted into a poset once (at most 122 at four
-    branches).  Rows and shape ids come in generation order, not in
-    canonical support order; a sum over the table does not depend on it,
-    and :class:`PairTable` puts the rows in canonical order.
+    :func:`_union_closed`, in generation order (:class:`PairTable` puts the
+    rows in canonical order).  A support enters a sum only through its
+    component posets, so the sum needs ``shapes``, the distinct component
+    posets; ``columns[i]``, each row's shape id at branch ``i``; and
+    ``closing``, one byte per row, 1 when the support contains the domain.
+    A shape's element 0 is its minimum (the union, with the most bits), the
+    domain when the support contains it.  A branch's component is the
+    family's bitset masked by that branch, ordered as its link, the family
+    over ``m - 1`` branches left when that bit is taken out of each mask, so
+    each distinct link is sorted into a poset once (at most 122 at four
+    branches) and no :class:`Support` is built.
     """
 
     __slots__ = ("families", "shapes", "columns", "closing")
@@ -626,8 +616,8 @@ def _union_closed(m: int) -> tuple[int, ...]:
 @memo(CACHE_ENTRIES)
 def _supports(m: int) -> tuple[Support, ...]:
     """The supports over ``m`` branches as :class:`Support` objects, sorted canonically."""
-    supports = (Support(m, frozenset(_iter_bits(family))) for family in _union_closed(m))
-    return tuple(sorted(supports, key=Support.sort_key))
+    families = sorted(_union_closed(m), key=_family_key)
+    return tuple(Support(m, frozenset(_iter_bits(family))) for family in families)
 
 
 def _check_branches(m: int, max_branches: int) -> None:
@@ -674,27 +664,26 @@ def _support_table(m: int) -> SupportTable:
 class PairTable:
     """The supports over ``m`` branches in canonical order, and which cover which.
 
-    ``shapes`` is the tuple of :func:`support_table`, and ``columns[b]`` is
-    that table's column at branch ``b``, its rows put in the order of
-    ``supports``.  Nested supports ``T < S`` have ``T`` plus a maximal mask
-    of ``S - T`` between them, so ``S`` covers ``T`` exactly when it has one
-    mask more.  ``big`` and ``small`` index ``supports`` by such pair,
-    ``small < big``: 0, 1, 9 and 151 pairs for ``m = 0..3``, 10 825 for
-    ``m = 4``.  ``pair_columns[b]`` gives each pair's id in ``pairs``, whose
-    entries are ``(outer, inner, at)``: the component posets at ``b`` of the
-    big and the small support, and the index in the outer component of each
-    inner mask.  A component is the family's bitset masked by the branch,
-    so ``at`` is worked out once per distinct pair of component bitsets.
-    Relabelling the branches maps supports to supports, so every shape and
-    pair id occur at every branch.
+    ``families`` holds the supports as bitsets in the order of
+    :meth:`Support.sort_key`; ``shapes`` and ``columns`` are those of
+    :func:`support_table`, its rows in that order.  ``T`` plus a maximal
+    mask of ``S - T`` lies between nested supports ``T < S``, so ``S``
+    covers ``T`` exactly when it has one mask more; ``big`` and ``small``
+    index such pairs, ``small < big``: 0, 1, 9 and 151 for ``m = 0..3``,
+    10 825 for ``m = 4``.  ``pair_columns[b]`` gives each pair's id in
+    ``pairs``, whose entries are ``(outer, inner, at)``: the component
+    posets at ``b`` of the big and the small support, and the index in the
+    outer component of each inner mask, worked out once per distinct pair
+    of component bitsets.  Relabelling the branches maps supports to
+    supports, so every shape and pair id occurs at every branch.
     """
 
-    __slots__ = ("supports", "shapes", "columns", "big", "small", "pairs", "pair_columns")
+    __slots__ = ("families", "shapes", "columns", "big", "small", "pairs", "pair_columns")
 
     def __init__(self, m: int):
-        self.supports = supports = _supports(m)
         table = _support_table(m)
-        families = [sum(1 << s for s in support.masks) for support in supports]
+        order = sorted(range(len(table.families)), key=lambda k: _family_key(table.families[k]))
+        self.families = families = tuple(table.families[k] for k in order)
         index = {family: i for i, family in enumerate(families)}
         self.big, self.small = array("I"), array("I")
         for j, family in enumerate(families):
@@ -703,8 +692,6 @@ class PairTable:
             covered = sorted(i for i in less if i is not None)
             self.big.extend([j] * len(covered))
             self.small.extend(covered)
-        row = {family: k for k, family in enumerate(table.families)}
-        order = [row[family] for family in families]  # the table row of each support
         self.shapes = table.shapes
         self.columns = [array("I", (column[k] for k in order)) for column in table.columns]
         pairs: dict[tuple, int] = {}  # (outer, inner, at) -> pair id

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -349,6 +350,60 @@ def test_hasse_labels_name_each_element_by_its_support(fex_path, capsys):
     code, out, _ = run(capsys, "hasse", fex_path)
     assert code == 0
     assert out == sp.flagged.to_dot(labels=expected) + "\n"
+
+
+def test_hasse_exports_the_ordered_set_without_closing_it(fex_path, tmp_path, capsys):
+    from semistar import clear_caches, semistar_poset
+    from semistar.spectrum import load_tree
+    from test_semistar_poset import _masks_held
+
+    flat = _write(tmp_path, "flat.json", [{"id": "0", "parent": None, "omega": 1}] + [
+        {"id": f"M{i}", "parent": "0", "omega": w, "epsilon": w} for i, w in enumerate((1, 2, 2))
+    ])
+    for path in (fex_path, flat):
+        clear_caches()
+        for fmt in ("dot", "json"):
+            code, out, _ = run(capsys, "hasse", path, "--format", fmt)
+            assert code == 0 and out
+        sp = semistar_poset(load_tree(path))  # the set just exported, from the memo
+        assert not _masks_held(sp.poset)
+
+
+#: a DOT node statement whose label is one quoted string: no unescaped quote inside
+_DOT_NODE = re.compile(r'  n(\d+) \[label="((?:[^"\\]|\\.)*)"(, peripheries=2)?\];')
+
+
+def _dot_labels(dot):
+    r"""The text of each node label, with DOT's ``\"``, ``\\`` and ``\n`` read back."""
+    labels = []
+    for line in dot.splitlines():
+        if line.startswith("  n") and not line.startswith("  node") and "->" not in line:
+            match = _DOT_NODE.fullmatch(line)
+            assert match, line
+            labels.append(re.sub(r"\\(.)", _unescaped, match[2]))
+    return labels
+
+
+def _unescaped(escape):
+    return "\n" if escape[1] == "n" else escape[1]
+
+
+def test_hasse_dot_escapes_quotes_and_backslashes_in_ids(tmp_path, capsys):
+    path = _write(
+        tmp_path, "quoted.json",
+        [{"id": "0", "parent": None, "omega": 1},
+         {"id": 'M"1', "parent": "0", "omega": 1, "epsilon": 1},
+         {"id": "N\\", "parent": "0", "omega": 2, "epsilon": 1}],
+    )
+    code, out, _ = run(capsys, "hasse", path, "--format", "json")
+    assert code == 0
+    labels = json.loads(out)["labels"]
+    assert '{T{M"1}, K}' in labels and "{T{N\\}, K}" in labels
+    code, out, _ = run(capsys, "hasse", path)
+    assert code == 0 and _dot_labels(out) == labels
+    code, out, _ = run(capsys, "hasse", path, "--target", "tree")
+    assert code == 0
+    assert _dot_labels(out) == ["0\nomega=1", 'M"1\nomega=1, eps=1', "N\\\nomega=2, eps=1"]
 
 
 def test_importing_the_cli_leaves_the_oracle_unloaded():

@@ -211,22 +211,34 @@ def test_materialized_sets_stay_within_their_bound():
     clear_caches()
     names = ("engine._semistar_poset", "engine._base", "engine._fstar")
     bound = _memo.POSET_ENTRIES
-    sizes, blocks = set(), []
-    gc.collect()
-    start = sys.getallocatedblocks()
-    for k in range(2 * bound):
-        t = _renamed(BIG_README_TREE, k)
-        sizes.add(engine.semistar_poset(t).size)
-        sizes.update(engine.fstar_poset(branch_subtree(t, c)).size for c in t.children(t.root_id))
-        info = cache_info()
-        assert all(info[name].currsize <= bound for name in names), k
-        if k + 1 in (bound, 2 * bound):
-            gc.collect()
-            blocks.append(sys.getallocatedblocks() - start)
-    assert all(cache_info()[name].currsize == bound for name in names)
+    sizes = set()
+
+    def build(trees):
+        for k in trees:
+            t = _renamed(BIG_README_TREE, k)
+            sizes.add(engine.semistar_poset(t).size)
+            branches = (branch_subtree(t, c) for c in t.children(t.root_id))
+            sizes.update(engine.fstar_poset(branch).size for branch in branches)
+            info = cache_info()
+            assert all(info[name].currsize <= bound for name in names), k
+
+    def held():
+        """The blocks that these memos alone keep, measured by emptying them."""
+        assert all(cache_info()[name].currsize == bound for name in names)
+        gc.collect()
+        start = sys.getallocatedblocks()
+        for name in names:
+            _memo._MEMOS[name].clear()
+        gc.collect()
+        return start - sys.getallocatedblocks()
+
+    build(range(bound))
+    full = held()
+    # twice as many trees again: a memo past its bound would keep twice as much
+    build(range(bound, 3 * bound))
+    again = held()
     assert sizes == {1162, 24, 2}
-    # once the bound is full, as many trees again keep few more blocks: the sets are dropped
-    assert blocks[1] < 1.1 * blocks[0], blocks
+    assert again < 1.1 * full, (full, again)
     clear_caches()
 
 

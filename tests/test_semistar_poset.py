@@ -9,6 +9,7 @@ up-sets and down-sets and the same ring-closing flags.
 """
 
 import random
+from array import array
 from collections import Counter
 from itertools import product as cartesian
 
@@ -30,9 +31,9 @@ from semistar import (
     engine,
     semistar_poset,
 )
-from semistar.engine import DEFAULT_LIMITS, SemistarElement, _branch_fstars
-from semistar.posets import enum_hom
-from semistar.spectrum import enumerate_supports, pair_table, support_table
+from semistar.engine import DEFAULT_LIMITS, FlaggedPoset, SemistarElement, _branch_fstars
+from semistar.posets import _closure, _CoverPoset, enum_hom
+from semistar.spectrum import enumerate_supports, pair_table, support_table, validate_tree
 
 #: the oracle-lattice trees whose ordered sets the acceptance test builds
 LATTICE_MAX_POSET = 250
@@ -98,8 +99,40 @@ def _pairwise_semistar_poset(t, limits):
     return poset, elements, flags
 
 
+def _masks_held(p):
+    """Whether ``p`` holds its up-masks, without closing a poset kept as covers."""
+    try:
+        object.__getattribute__(p, "_up")
+    except AttributeError:
+        return False
+    return True
+
+
+def _assert_closes_on_demand(sp):
+    """The kept covers, closed when first read, against ``_closure`` and the covers of the masks."""
+    los, his = sp.poset._covers
+    assert list(los) == sorted(los) and list(zip(los, his)) == sorted(zip(los, his))
+    above = [[] for _ in range(sp.size)]
+    for lo, hi in zip(los, his):
+        above[lo].append(hi)
+    up, down = _closure(above)
+    assert not _masks_held(sp.poset)  # nothing so far has read the order
+    assert [sp.poset.up_mask(i) for i in range(sp.size)] == up
+    assert [sp.poset.down_mask(i) for i in range(sp.size)] == down
+    assert hash(sp.poset) == hash(tuple(up))
+    assert sp.poset.covers() == Poset._unchecked(up, down).covers()
+
+
+def _block_labels(sp):
+    """The label of every element: its block's label, repeated."""
+    ends = (*sp.offsets[1:], sp.size)
+    return [label for label, a, b in zip(sp.block_labels, sp.offsets, ends) for _ in range(a, b)]
+
+
 def _assert_matches_reference(t, limits=DEFAULT_LIMITS):
+    clear_caches()
     sp = semistar_poset(t, limits)
+    _assert_closes_on_demand(sp)
     poset, elements, flags = _pairwise_semistar_poset(t, limits)
     assert sp.poset == poset  # the up-masks
     assert [sp.poset.down_mask(i) for i in range(sp.size)] == [
@@ -108,6 +141,7 @@ def _assert_matches_reference(t, limits=DEFAULT_LIMITS):
     assert list(sp.elements) == elements
     assert sp.ring_closing == flags
     assert sp.poset.covers() == poset.covers()  # handed over, against the reduction
+    assert _block_labels(sp) == [e.support.label(sp.branch_ids) for e in elements]
 
 
 def test_matches_pairwise_order_on_the_oracle_lattice():
@@ -138,6 +172,15 @@ def test_matches_pairwise_order_on_flat_three_branches_weight_two():
 
 
 @pytest.mark.slow
+def test_four_flat_leaves_of_weight_one_close_to_their_covers():
+    t = h_local([1, 1, 1, 1])
+    clear_caches()
+    sp = semistar_poset(t, Limits(max_poset=3000))
+    assert sp.size == 2480
+    _assert_closes_on_demand(sp)
+
+
+@pytest.mark.slow
 def test_matches_pairwise_order_on_four_flat_leaves_of_weight_one():
     # one flagged point per branch: the set is the order of the 2 480 supports
     t = h_local([1, 1, 1, 1])
@@ -154,10 +197,60 @@ def test_matches_pairwise_order_on_the_readme_tree():
     _assert_matches_reference(t)
 
 
+def test_hasse_sets_of_seeds_one_to_three_against_their_elements():
+    # covers against the closure, flags and labels against the decoded elements
+    from test_memo import _workload
+
+    trees = [nodes for seed in (1, 2, 3) for nodes in _workload("hasse", seed).trees.values()]
+    assert len(trees) == 15
+    for nodes in trees:
+        t = validate_tree({"nodes": nodes})
+        clear_caches()
+        sp = semistar_poset(t)
+        dot, payload = sp.flagged.to_dot(), sp.flagged.to_json_dict()
+        assert not _masks_held(sp.poset)  # exports read the covers alone
+        assert payload["covers"] == [list(c) for c in sp.poset.covers()]
+        assert dot.count("->") == len(payload["covers"])
+        _assert_closes_on_demand(sp)
+        fstars = _branch_fstars(t, DEFAULT_LIMITS)
+        elements = sp.elements
+        assert len(elements) == sp.size == count_semistar(t)
+        assert sp.ring_closing == {
+            k for k, e in enumerate(elements)
+            if e.support.contains_domain()
+            and all(g.image[0] in f.ring_closing for g, f in zip(e.maps, fstars))
+        }
+        assert _block_labels(sp) == [e.support.label(sp.branch_ids) for e in elements]
+        bottom = sp.poset.unique_min()  # from the covers, against the masks
+        assert bottom == Poset._unchecked(sp.poset.up_mask(i) for i in range(sp.size)).unique_min()
+        assert elements[bottom].support.masks == frozenset(range(1 << len(sp.branch_ids)))
+        assert sp.poset.unique_max() == 0 and elements[0].support.masks == frozenset({0})
+
+
+def test_a_poset_kept_as_covers_checks_its_flags_as_strictly_as_one_of_masks():
+    # 0 < 2 > 1 has two minima; in the chain 0 < 1 < 2, {0, 2} is no down-set
+    for los, his, flags, message in [
+        ([0, 1], [2, 2], {0, 1}, "unique minimum"),
+        ([0, 1], [1, 2], {1}, "minimum must be ring-closing"),
+        ([0, 1], [1, 2], {0, 2}, "down-set"),
+        ([0, 1], [1, 2], {0, 3}, "out of range"),
+    ]:
+        kept = _CoverPoset(3, array("I", los), array("I", his))
+        masked = Poset.from_covers(3, zip(los, his))
+        for poset in (kept, masked):
+            with pytest.raises(ValueError, match=message):
+                FlaggedPoset(poset, frozenset(flags))
+        assert not _masks_held(kept)
+    kept = _CoverPoset(3, array("I", [0, 0]), array("I", [1, 2]))
+    assert FlaggedPoset(kept, frozenset({0, 1})).poset.unique_min() == 0
+    assert not _masks_held(kept)
+    assert kept == Poset.from_covers(3, [(0, 1), (0, 2)]) and _masks_held(kept)
+
+
 def test_pair_table_is_the_brute_force_filter_in_its_order():
     for m, count in enumerate((0, 1, 9, 151, 10825)):
         table, supports = pair_table(m), enumerate_supports(m)
-        assert table.supports == supports
+        assert table.families == tuple(sum(1 << s for s in support.masks) for support in supports)
         assert table.shapes is support_table(m).shapes  # one shape numbering per m
         by_size = {}
         for i, small in enumerate(supports):
