@@ -47,8 +47,10 @@ POSET_ENTRIES = 64
 #: maps), so these memos hold at most about 100 MB.
 MAP_ENTRIES = 128
 
-#: The bound of the support-sum memo, one entry per tree, closing flag and
-#: symbolic branches.  One pass of the ``counts`` workload holds 52.
+#: The bound of the support-sum memo, one entry per set of sibling branches
+#: (the root's children, or an internal node's, whose sums size its record),
+#: closing flag and symbolic branches.  One pass of the ``counts`` workload
+#: holds 48.
 SUM_ENTRIES = 256
 
 

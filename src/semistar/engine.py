@@ -27,8 +27,8 @@ enters affinely, see :func:`smstar_polynomial`), and the weight chain is
 never built.  The sum runs over one shape table per branch count
 (``spectrum.support_table``: 2 480 supports but 38 shapes at four
 branches, read from the support bitsets with no ``Support`` built), each
-branch's factor taken once per shape and memoized on what it reads
-(:class:`_Reads`, :func:`_support_sum`).  The tests check the counts
+branch's factor taken once per shape and memoized on its record
+(:class:`_Record`, :func:`_support_sum`).  The tests check the counts
 against element enumeration (``semistar_element_counts``),
 materialization (``semistar_poset``), the brute-force oracle and
 interpolation.
@@ -52,7 +52,7 @@ table's shapes, so counts and the ordered set number the shapes alike.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as cartesian
 from math import prod
 from types import MappingProxyType
@@ -78,10 +78,8 @@ from .spectrum import (
     DEFAULT_MAX_BRANCHES,
     SpectrumTree,
     Support,
-    branch_subtree,
     enumerate_supports,
     pair_table,
-    quotient_subtree,
     standard_decomposition,
     support_table,
     _family_label,
@@ -195,65 +193,64 @@ def _check_size(size: int, limits: Limits, what: str = "semistar poset"):
         )
 
 
-@dataclass(frozen=True)
-class _Reads:
-    """What a branch's factors and base read: its quotient (``None`` for a leaf) and flag count.
+class _Record:
+    """What a branch's factors and base read: its node (``None`` for a leaf) and its quotient.
 
-    Compared and hashed by that pair alone, so every leaf with the same
-    epsilon, and every internal branch over the same quotient, shares its
-    factors and base.  ``tree`` is one such branch, for ``tildhom_count``.
+    The quotient's branches are the ``(id, omega, record)`` triples of the
+    node's children; its counts size the base and flags (a leaf has no base
+    and ``epsilon`` flags).  Records hash by identity; the memos of what
+    does not depend on the weight are keyed by them.
     """
 
-    quotient: SpectrumTree | None
-    flag_count: int
-    tree: SpectrumTree = field(compare=False)
+    __slots__ = ("node", "children", "base_size", "flag_count")
 
-
-class _Branch:
-    """A root-child branch as ``(base, flags, omega)``, one record per branch and limits.
-
-    Only the sizes are counted here; the base is built by :func:`_base` when
-    a count needs its order.  Records hash by identity; the memos of what
-    does not depend on the weight are keyed by ``reads``.
-    """
-
-    def __init__(self, branch: SpectrumTree, limits: Limits):
-        child = standard_decomposition(branch)[0]
-        self.tree, self.child, self.omega = branch, child, branch.omega(child)
-        if branch.is_leaf(child):
-            self.quotient, self.base_size = None, 0
-            self.flag_count = branch.epsilon(child)
+    def __init__(self, node: str | None, children: tuple, epsilon: int | None, limits: Limits):
+        self.node, self.children = node, children
+        if node is None:
+            self.base_size, self.flag_count = 0, epsilon
         else:
-            self.quotient = quotient_subtree(branch, child)
-            self.base_size = count_semistar(self.quotient, limits) - 1
-            self.flag_count = count_smstar(self.quotient, limits)
-        self.reads = _Reads(self.quotient, self.flag_count, branch)
+            self.base_size = _support_sum(children, False, frozenset(), limits)[()] - 1
+            self.flag_count = _support_sum(children, True, frozenset(), limits)[()]
 
 
 @memo(CACHE_ENTRIES)
-def _branches(t: SpectrumTree, limits: Limits) -> tuple[_Branch, ...]:
-    ids = standard_decomposition(t)
-    if len(ids) == 1:
-        return (_Branch(t, limits),)
-    # through the one-branch entries, so trees sharing a branch share its record
-    return tuple(_branches(branch_subtree(t, child), limits)[0] for child in ids)
+def _record(node: str | None, children: tuple, epsilon: int | None, limits: Limits) -> _Record:
+    """The one record of equal subtrees; a leaf's key drops its id, so one per epsilon."""
+    return _Record(node, children, epsilon, limits)
 
 
-def _single_branch(branch: SpectrumTree, limits: Limits) -> _Branch:
+@memo(CACHE_ENTRIES)
+def _branches(t: SpectrumTree, limits: Limits) -> tuple[tuple[str, int, _Record], ...]:
+    """One ``(id, omega, record)`` triple per root child, in branch order.
+
+    Every record is made in one pass over the tree, children before their
+    parents (breadth-first order, reversed), each from its children's
+    triples: no quotient is copied, and no call nests deeper with the tree.
+    """
+    order = [t.root_id]
+    for node_id in order:  # grows as it is read: breadth-first
+        order.extend(t.children(node_id))
+    triples = {}
+    for node_id in reversed(order[1:]):
+        node, children = t.node(node_id), tuple(triples[c] for c in t.children(node_id))
+        record = _record(node_id if children else None, children, node.epsilon, limits)
+        triples[node_id] = (node_id, node.omega, record)
+    return tuple(triples[c] for c in t.children(t.root_id))
+
+
+def _single_branch(branch: SpectrumTree, limits: Limits) -> tuple[str, int, _Record]:
     if len(standard_decomposition(branch)) != 1:
         raise ValueError("fractional-star posets are built per branch (one root child)")
     return _branches(branch, limits)[0]
 
 
 @memo(POSET_ENTRIES)
-def _base(reads: _Reads, limits: Limits) -> tuple[Poset, frozenset[int]]:
+def _base(record: _Record, limits: Limits) -> tuple[Poset, frozenset[int]]:
     """The base poset and its flags: the quotient's semistar poset minus its top."""
-    quotient = reads.quotient
-    if quotient is None:
-        return Poset(()), frozenset(range(reads.flag_count))
-    what = f"semistar poset of quotient {quotient.root_id!r}"
-    _check_size(count_semistar(quotient, limits), limits, what)
-    sp = semistar_poset(quotient, limits)
+    if record.node is None:
+        return Poset(()), frozenset(range(record.flag_count))
+    _check_size(record.base_size + 1, limits, f"semistar poset of quotient {record.node!r}")
+    sp = _semistar_poset(record.children, limits)
     # block 0 is the support {K} alone: element 0, the all-to-field operation, is the top
     assert sp.families[0] == 1 and sp.poset.unique_max() == 0 and 0 not in sp.ring_closing
     return subposet(sp.poset, range(1, sp.size)), frozenset(i - 1 for i in sp.ring_closing)
@@ -269,15 +266,11 @@ def fstar_poset(branch: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> Flagge
 
 
 @memo(POSET_ENTRIES)
-def _fstar(record: _Branch, limits: Limits) -> FlaggedPoset:
-    what = f"fractional-star poset of branch {record.child!r}"
-    _check_size(record.base_size + record.omega, limits, what)
-    base, flags = _base(record.reads, limits)
-    return FlaggedPoset(ordinal_sum(base, chain(record.omega)), flags)
-
-
-def _branch_fstars(t: SpectrumTree, limits: Limits) -> list[FlaggedPoset]:
-    return [fstar_poset(record.tree, limits) for record in _branches(t, limits)]
+def _fstar(branch: tuple[str, int, _Record], limits: Limits) -> FlaggedPoset:
+    child, omega, record = branch
+    _check_size(record.base_size + omega, limits, f"fractional-star poset of branch {child!r}")
+    base, flags = _base(record, limits)
+    return FlaggedPoset(ordinal_sum(base, chain(omega)), flags)
 
 
 # -- counting ------------------------------------------------------------------
@@ -309,21 +302,25 @@ def tildhom_count(
     leaf, whose flags are the bottom ``epsilon`` chain elements,
     ``h(n) + (epsilon - 1) h(n - 1)``, ``h`` the order polynomial of the rest.
     """
-    record = _single_branch(branch, limits)
+    return _tildhom(component, d_index, _single_branch(branch, limits)[2], limits)
+
+
+def _tildhom(component: Poset, d_index: int | None, record: _Record, limits: Limits):
+    """:func:`tildhom_count` of the branch with this record."""
     if d_index is None:
         if component.size == 1:
             return (record.base_size, 1)
-        base, _ = _base(record.reads, limits)
+        base, _ = _base(record, limits)
         return hom_coefficients(component, base, max_steps=limits.max_maps)
     if component.up_mask(d_index) != (1 << component.size) - 1:
         raise ValueError("the designated domain element must be the component minimum")
     rest = subposet(component, (i for i in range(component.size) if i != d_index))
-    if record.quotient is None:
-        h = hom_coefficients(rest, _base(record.reads, limits)[0])
+    if record.node is None:
+        h = hom_coefficients(rest, _base(record, limits)[0])
         return h if record.flag_count == 1 else tuple(a + b for a, b in zip(h, _shifted(h)))
     if not rest.size:
         return (record.flag_count,)
-    base, flags = _base(record.reads, limits)
+    base, flags = _base(record, limits)
     if rest.size == 1:  # one point maps to an up-set U or the chain: |U| + n
         return (sum(base.up_mask(q).bit_count() for q in flags), len(flags))
     total = [0] * (rest.size + 1)
@@ -335,22 +332,22 @@ def tildhom_count(
 
 
 @memo(SHAPE_ENTRIES)
-def _term(reads: _Reads, component: Poset, closing: bool, limits: Limits):
+def _term(record: _Record, component: Poset, closing: bool, limits: Limits):
     """A branch's factor for one component shape, in C(n, k); ``(1,)`` if the support misses it.
 
     ``closing`` sends the component's element 0, its minimum, to a
     ring-closing element.  The factor does not depend on the weight, so it
-    is keyed by what the branch's maps read (:class:`_Reads`): a leaf's
-    factors are one set per epsilon.
+    is keyed by the branch's record (:class:`_Record`): a leaf's factors
+    are one set per epsilon.
     """
     if not component.size:
         return (1,)
-    return tildhom_count(component, 0 if closing else None, reads.tree, limits)
+    return _tildhom(component, 0 if closing else None, record, limits)
 
 
 @memo(SUM_ENTRIES)
 def _support_sum(
-    t: SpectrumTree, closing: bool, symbolic: frozenset[str], limits: Limits
+    branches: tuple, closing: bool, symbolic: frozenset[str], limits: Limits
 ) -> Mapping[tuple[int, ...], int]:
     """Sum over supports of the product of the branch factors, in the binomial basis.
 
@@ -361,17 +358,16 @@ def _support_sum(
     polynomials in their weights, their rows grouped by shapes and expanded
     into ``{(k_1, ..., k_s): c}`` for the sum of ``c * C(n_1, k_1) ...
     C(n_s, k_s)``, indices in branch order.  A count is the ``()`` entry.
-    The sum is memoized, so it is a read-only view every caller shares.
+    Memoized per set of sibling branches, the sum is a read-only view every caller shares.
     """
-    records = _branches(t, limits)
-    table = support_table(len(records), max_branches=limits.max_branches)
+    table = support_table(len(branches), max_branches=limits.max_branches)
     acc, kept = list(table.closing) if closing else [1] * len(table.closing), []
-    for record, column in zip(records, table.columns):
-        factors = [_term(record.reads, component, closing, limits) for component in table.shapes]
-        if record.child in symbolic:
+    for (child, omega, record), column in zip(branches, table.columns):
+        factors = [_term(record, component, closing, limits) for component in table.shapes]
+        if child in symbolic:
             kept.append((column, [[(k, c) for k, c in enumerate(f) if c] for f in factors]))
         else:
-            values = [binomial_value(f, record.omega) for f in factors]
+            values = [binomial_value(f, omega) for f in factors]
             acc = [a * values[s] for a, s in zip(acc, column)]
     if not kept:
         return MappingProxyType({(): sum(acc)})
@@ -397,31 +393,32 @@ def count_semistar(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
     branch's fractional-star poset.  The quotient-field-only support
     contributes the single all-to-field operation.
     """
-    return _support_sum(t, False, frozenset(), limits)[()]
+    return _support_sum(_branches(t, limits), False, frozenset(), limits)[()]
 
 
 def count_fstar(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
     """Number of fractional-star operations: the product of the branch sizes."""
-    return prod(r.base_size + r.omega for r in _branches(t, limits))
+    return prod(r.base_size + omega for _, omega, r in _branches(t, limits))
 
 
 def count_smstar(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
     """Number of semistar operations that close the domain itself."""
-    return _support_sum(t, True, frozenset(), limits)[()]
+    return _support_sum(_branches(t, limits), True, frozenset(), limits)[()]
 
 
 def count_star(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
     """Number of star operations: product of the branch ring-closing counts."""
-    return prod(r.flag_count for r in _branches(t, limits))
+    return prod(r.flag_count for _, _, r in _branches(t, limits))
 
 
 def count_report(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> dict[str, int]:
-    """All four cardinalities, in a stable key order."""
+    """All four cardinalities, in a stable key order, from one read of the branches."""
+    branches = _branches(t, limits)
     return {
-        "semistar": count_semistar(t, limits),
-        "fstar": count_fstar(t, limits),
-        "smstar": count_smstar(t, limits),
-        "star": count_star(t, limits),
+        "semistar": _support_sum(branches, False, frozenset(), limits)[()],
+        "fstar": prod(r.base_size + omega for _, omega, r in branches),
+        "smstar": _support_sum(branches, True, frozenset(), limits)[()],
+        "star": prod(r.flag_count for _, _, r in branches),
     }
 
 
@@ -434,7 +431,7 @@ def semistar_element_counts(
     ``count_smstar``: every branch map is materialized and the ring-closing
     ones are found by inspection of the domain's image.
     """
-    fstars = _branch_fstars(t, limits)
+    fstars = [_fstar(branch, limits) for branch in _branches(t, limits)]
     total = 0
     flagged = 0
     for support in enumerate_supports(len(fstars), max_branches=limits.max_branches):
@@ -512,15 +509,15 @@ def semistar_poset(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> Semistar
     mixed-radix in the map indices.  The set is kept as its covers (see the
     module docstring); the masks are closed when the order is read.
     """
-    return _semistar_poset(t, limits)
+    return _semistar_poset(_branches(t, limits), limits)
 
 
 @memo(POSET_ENTRIES)
-def _semistar_poset(t: SpectrumTree, limits: Limits) -> SemistarPoset:
-    branch_ids = standard_decomposition(t)
-    n = count_semistar(t, limits)
+def _semistar_poset(branches: tuple, limits: Limits) -> SemistarPoset:
+    branch_ids = tuple(child for child, _, _ in branches)
+    n = _support_sum(branches, False, frozenset(), limits)[()]
     _check_size(n, limits)
-    fstars = _branch_fstars(t, limits)
+    fstars = [_fstar(branch, limits) for branch in branches]
     table = pair_table(len(fstars), max_branches=limits.max_branches)
     # every shape occurs at every branch, so each of these lists is read
     shape_maps = [[_maps(p, f.poset, limits.max_maps) for p in table.shapes] for f in fstars]
@@ -579,7 +576,7 @@ def fstar_product(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> FlaggedPo
     if len(t.nodes) == 1:
         return FlaggedPoset(chain(1), frozenset({0}))
     _check_size(count_fstar(t, limits), limits, "fractional-star product")
-    fstars = _branch_fstars(t, limits)
+    fstars = [_fstar(branch, limits) for branch in _branches(t, limits)]
     acc = fstars[0]
     for nxt in fstars[1:]:
         combined = product(acc.poset, nxt.poset)
@@ -618,7 +615,8 @@ def semistar_polynomial(
     if not variables:
         raise ValueError("need at least one symbolic node")
     names = _symbolic_branches(t, variables)
-    return MultiPoly.from_binomial(names, _support_sum(t, False, frozenset(names), limits))
+    sums = _support_sum(_branches(t, limits), False, frozenset(names), limits)
+    return MultiPoly.from_binomial(names, sums)
 
 
 def smstar_polynomial(
@@ -661,7 +659,7 @@ def smstar_polynomial(
     total: dict[tuple[int, ...], int] = {}
     for values in cartesian((1, 2), repeat=len(eps_ids)):
         relabelled = t.with_labels(omega=omega, epsilon=dict(zip(eps_ids, values))) if values else t
-        part = _support_sum(relabelled, True, symbolic, limits)
+        part = _support_sum(_branches(relabelled, limits), True, symbolic, limits)
         for ks in cartesian((0, 1), repeat=len(values)):
             w = prod(lagrange[v][k] for v, k in zip(values, ks))
             for key, c in part.items():

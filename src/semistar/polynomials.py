@@ -82,6 +82,10 @@ class MultiPoly:
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
+    def __reduce__(self):
+        """Copied and pickled in its canonical form."""
+        return MultiPoly, (self.variables, self.terms, True)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

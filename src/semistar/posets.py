@@ -106,6 +106,10 @@ class Poset:
     def __setattr__(self, name, value):
         raise AttributeError("Poset is immutable")
 
+    def __reduce__(self):
+        """Copied and pickled as its masks, rebuilt unchecked."""
+        return Poset._unchecked, (self._up, self._down)
+
     @classmethod
     def from_relation(cls, size: int, pairs: Iterable[tuple[int, int]]) -> "Poset":
         """Build from the full set of ordered pairs ``a <= b`` (reflexive pairs optional)."""
@@ -248,6 +252,10 @@ class _CoverPoset(Poset):
     def __init__(self, size: int, los: array, his: array):
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "_covers", (los, his))
+
+    def __reduce__(self):
+        """Copied and pickled as its size and covers, so neither closes it."""
+        return _CoverPoset, (self.size, *self._covers)
 
     def __getattr__(self, name):
         if name not in ("_up", "_down", "_hash"):
@@ -519,7 +527,7 @@ def _chain_coeffs(p: Poset) -> tuple[int, ...]:
 
 
 def _peel_chain_tail(q: Poset) -> tuple[Poset, int]:
-    """Split q as (base, k) where q = base ⊕ chain(k) with k maximal."""
+    """Split q as (base, k) where q = base ⊕ chain(k) with k maximal; ``q`` itself when k = 0."""
     alive, tail = (1 << q.size) - 1, 0
     while alive:
         tops = [i for i in _iter_bits(alive) if q.down_mask(i) & alive == alive]
@@ -527,7 +535,7 @@ def _peel_chain_tail(q: Poset) -> tuple[Poset, int]:
             break
         alive ^= 1 << tops[0]
         tail += 1
-    return _sub_from_mask(q, alive), tail
+    return (_sub_from_mask(q, alive) if tail else q), tail
 
 
 def _backtrack_count(p: Poset, q: Poset, max_steps: int | None) -> int:

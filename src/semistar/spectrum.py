@@ -75,6 +75,10 @@ class SpectrumTree:
     def __setattr__(self, name, value):
         raise AttributeError("SpectrumTree is immutable")
 
+    def __reduce__(self):
+        """Copied and pickled as its nodes, re-validated when rebuilt."""
+        return SpectrumTree, (self.nodes,)
+
     # -- access ---------------------------------------------------------------
 
     def node(self, node_id: str) -> TreeNode:

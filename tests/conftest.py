@@ -43,6 +43,19 @@ def final_example(a, b, eps_n=1, leaf_omegas=(1, 1), leaf_epsilons=(1, 1)):
     )
 
 
+def caterpillar(depth):
+    """Root over ``P0``; each ``Pd`` holds a leaf ``Md`` and ``P(d + 1)``, the last two leaves.
+
+    Every weight and epsilon is 1; the tree has ``2 * depth + 2`` nodes.
+    """
+    rows = [("0", None, 1), ("P0", "0", 1)]
+    for d in range(depth - 1):
+        rows += [(f"M{d}", f"P{d}", 1, 1), (f"P{d + 1}", f"P{d}", 1)]
+    last = depth - 1
+    rows += [(f"M{last}", f"P{last}", 1, 1), (f"N{last}", f"P{last}", 1, 1)]
+    return build_tree(rows)
+
+
 def random_poset(rng: random.Random, max_size: int = 5) -> Poset:
     n = rng.randint(0, max_size)
     covers = [

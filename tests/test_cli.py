@@ -468,6 +468,37 @@ def test_deeply_nested_json_exit_3(tmp_path):
     assert "Traceback" not in proc.stderr and "nests too deeply" in proc.stderr
 
 
+def test_count_on_a_deep_caterpillar_exits_2(tmp_path, capsys):
+    from conftest import caterpillar
+
+    path = tmp_path / "caterpillar.json"
+    path.write_text(caterpillar(2000).to_json())
+    code, out, err = run(capsys, "count", str(path))
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err and "quotient 'P1997'" in err
+
+
+@pytest.mark.slow
+def test_count_on_a_40002_node_caterpillar_exits_2_within_seconds(tmp_path):
+    import subprocess
+    import sys
+    import time
+
+    from conftest import caterpillar
+
+    path = tmp_path / "caterpillar.json"
+    path.write_text(caterpillar(20_000).to_json())
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "semistar.cli", "count", str(path)],
+        env=fresh_env(), capture_output=True, text=True, timeout=120,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "quotient 'P19997'" in proc.stderr
+    assert elapsed < 5.0
+
+
 def test_load_tree_reports_deep_nesting_as_the_command_line_does(tmp_path):
     from semistar.spectrum import load_tree
 

@@ -1,9 +1,11 @@
 import random
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from conftest import final_example, h_local, random_tree, run_fresh, valuation, y_tree
+from conftest import caterpillar, final_example, h_local, random_tree, run_fresh, valuation, y_tree
 from semistar import (
     EnumerationLimitError,
     FlaggedPoset,
@@ -13,6 +15,7 @@ from semistar import (
     are_isomorphic,
     build_tree,
     chain,
+    clear_caches,
     count_fstar,
     count_hom,
     count_report,
@@ -28,7 +31,7 @@ from semistar import (
     subposet,
     tildhom_count,
 )
-from semistar.spectrum import Support, branch_subtree
+from semistar.spectrum import SpectrumTree, Support, branch_subtree
 
 
 def fex_polynomial():
@@ -567,6 +570,25 @@ def test_counts_invariant_under_relabeling():
         rng.shuffle(rows)
         relabeled = build_tree(rows)
         assert count_report(relabeled) == report
+        # records key on node ids: the polynomials and the ordered set must not see them
+        child = t.children(t.root_id)[0]
+        back = {mapping[child]: child}
+        assert semistar_polynomial(relabeled, [mapping[child]]).rename_variables(back) == (
+            semistar_polynomial(t, [child])
+        )
+        assert smstar_polynomial(relabeled, [mapping[child]]).rename_variables(back) == (
+            smstar_polynomial(t, [child])
+        )
+        assert _set_summary(relabeled) == _set_summary(t)
+
+
+def _set_summary(t):
+    """Size and flag count of the ordered set, or the limit it trips."""
+    try:
+        sp = semistar_poset(t)
+    except EnumerationLimitError as exc:
+        return str(exc)
+    return sp.size, len(sp.ring_closing)
 
 
 def test_star_count_ignores_root_child_weights():
@@ -706,6 +728,30 @@ def test_large_leaf_weight_is_exact_and_fast():
     elapsed = time.perf_counter() - start
     assert report == {"semistar": omega + 1, "fstar": omega, "smstar": 2, "star": 2}
     assert elapsed < 0.5
+
+
+def test_a_deep_caterpillar_names_its_deepest_quotient_past_the_limit():
+    # the records are made children first, so no call nests with the depth: at
+    # the interpreter's default recursion limit, 2 000 levels reach the check
+    assert sys.getrecursionlimit() <= 1000
+    with pytest.raises(EnumerationLimitError, match="quotient 'P1997' would hold 2285 elements"):
+        count_report(caterpillar(2000))
+
+
+def test_counts_sets_and_polynomials_copy_no_tree():
+    t = final_example(2, 1)  # an internal branch P over two leaves, and a leaf N
+    real, built = SpectrumTree.__init__, []
+
+    def counted(tree, nodes):
+        built.append(len(nodes))
+        real(tree, nodes)
+
+    clear_caches()
+    with mock.patch.object(SpectrumTree, "__init__", counted):
+        report, sp = count_report(t), semistar_poset(t)
+        poly = semistar_polynomial(t, ["P", "N"])
+    assert built == []
+    assert report["semistar"] == sp.size == poly.evaluate({"P": 2, "N": 1})
 
 
 # -- polynomials against interpolated element enumeration -------------------------------

@@ -29,7 +29,7 @@ from semistar import (
 from semistar import cache_info, clear_caches
 from semistar.oracle import brute_count_hom
 from semistar.polynomials import _multiset_coefficients, binomial_value
-from semistar.posets import _backtrack_count, _chain_coeffs, hom_coefficients
+from semistar.posets import _backtrack_count, _chain_coeffs, _peel_chain_tail, hom_coefficients
 
 posets = st.integers(0, 10_000).map(lambda seed: random_poset(random.Random(seed)))
 
@@ -201,6 +201,14 @@ def test_count_hom_irregular_target_with_chain_on_top():
     target = ordinal_sum(fence, chain(2))
     for p in (chain(2), diamond(), antichain(3)):
         assert count_hom(p, target) == brute_count_hom(p, target)
+
+
+def test_peeling_returns_a_target_with_no_chain_on_top_itself():
+    fence = Poset.from_covers(3, [(0, 1), (2, 1)])  # two points under a third
+    assert _peel_chain_tail(ordinal_sum(fence, chain(2))) == (antichain(2), 3)
+    vee = Poset.from_covers(3, [(0, 1), (0, 2)])  # two maximal elements: nothing to peel
+    base, tail = _peel_chain_tail(vee)
+    assert base is vee and tail == 0
 
 
 def _two_short_chains():

@@ -8,6 +8,8 @@ factorized build must give the same elements in the same order, the same
 up-sets and down-sets and the same ring-closing flags.
 """
 
+import copy
+import pickle
 import random
 from array import array
 from collections import Counter
@@ -29,14 +31,27 @@ from semistar import (
     clear_caches,
     count_semistar,
     engine,
+    fstar_poset,
+    semistar_polynomial,
     semistar_poset,
 )
-from semistar.engine import DEFAULT_LIMITS, FlaggedPoset, SemistarElement, _branch_fstars
+from semistar.engine import DEFAULT_LIMITS, FlaggedPoset, SemistarElement
 from semistar.posets import _closure, _CoverPoset, enum_hom
-from semistar.spectrum import enumerate_supports, pair_table, support_table, validate_tree
+from semistar.spectrum import (
+    branch_subtree,
+    enumerate_supports,
+    pair_table,
+    support_table,
+    validate_tree,
+)
 
 #: the oracle-lattice trees whose ordered sets the acceptance test builds
 LATTICE_MAX_POSET = 250
+
+
+def _branch_fstars(t, limits):
+    """The branch posets from the public entry point, one branch tree per root child."""
+    return [fstar_poset(branch_subtree(t, c), limits) for c in t.children(t.root_id)]
 
 
 def _pairwise_semistar_poset(t, limits):
@@ -245,6 +260,24 @@ def test_a_poset_kept_as_covers_checks_its_flags_as_strictly_as_one_of_masks():
     assert FlaggedPoset(kept, frozenset({0, 1})).poset.unique_min() == 0
     assert not _masks_held(kept)
     assert kept == Poset.from_covers(3, [(0, 1), (0, 2)]) and _masks_held(kept)
+
+
+def test_values_copy_and_pickle_as_equal_values():
+    t = final_example(2, 1)
+    sp = semistar_poset(t)
+    fstar = fstar_poset(branch_subtree(t, "P"))  # a poset of masks, flagged
+    values = [t, sp, sp.flagged, sp.poset, fstar, fstar.poset, semistar_polynomial(t, ["P", "N"])]
+    copies = (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)))
+    for value in values:
+        for make in copies:
+            twin = make(value)
+            assert type(twin) is type(value) and twin == value
+    # a set kept as covers travels as its covers: neither it nor its copy is closed
+    for make in copies:
+        kept = _CoverPoset(sp.size, *sp.poset._covers)
+        twin = make(kept)
+        assert not _masks_held(kept) and not _masks_held(twin)
+        assert twin.covers() == kept.covers() and twin == kept
 
 
 def test_pair_table_is_the_brute_force_filter_in_its_order():

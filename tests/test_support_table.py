@@ -39,7 +39,7 @@ from semistar import (
     smstar_polynomial,
 )
 from semistar import engine
-from semistar.spectrum import Support, enumerate_supports, support_table
+from semistar.spectrum import Support, branch_subtree, enumerate_supports, support_table
 
 
 _FACTORS = {}  # (branch tree, component, domain index) -> (polynomial in n, value at omega)
@@ -47,23 +47,24 @@ _FACTORS = {}  # (branch tree, component, domain index) -> (polynomial in n, val
 
 def _per_support_sum(t, closing, symbolic):
     """The support sum as an integer, or as a ``MultiPoly`` in the weights of ``symbolic``."""
-    records = engine._branches(t, engine.DEFAULT_LIMITS)
-    names = [record.child if record.child in symbolic else None for record in records]
+    ids = t.children(t.root_id)
+    trees = [branch_subtree(t, child) for child in ids]
+    names = [child if child in symbolic else None for child in ids]
 
     def branch_factor(i, component, d_index):
-        key = (records[i].tree, component, d_index)
+        key = (trees[i], component, d_index)
         if key not in _FACTORS:
-            e = engine.tildhom_count(component, d_index, records[i].tree)
+            e = engine.tildhom_count(component, d_index, trees[i])
             poly = MultiPoly.from_binomial(("n",), {(k,): c for k, c in enumerate(e)})
-            _FACTORS[key] = poly, poly.evaluate({"n": records[i].omega})
+            _FACTORS[key] = poly, poly.evaluate({"n": t.omega(ids[i])})
         return _FACTORS[key]
 
     groups = {}
-    for support in enumerate_supports(len(records)):
+    for support in enumerate_supports(len(ids)):
         if closing and not support.contains_domain():
             continue
         key, factor = [], 1
-        for i, record in enumerate(records):
+        for i in range(len(ids)):
             component, d_index = support.component_poset(i)
             if not closing:
                 d_index = None
@@ -315,39 +316,42 @@ def test_each_branch_takes_one_term_per_shape():
     calls = []
     real = engine._term
 
-    def counted(reads, component, closing, limits):
-        calls.append((reads.tree, component, closing))
-        return real(reads, component, closing, limits)
+    def counted(record, component, closing, limits):
+        calls.append((record, component, closing))
+        return real(record, component, closing, limits)
 
     for closing, count in ((False, count_semistar), (True, count_smstar)):
         calls.clear()
         clear_caches()
         with mock.patch.object(engine, "_term", counted):
             count(t)
-        assert len(calls) == len(set(calls))
-        shapes = len(support_table(4).shapes)
-        for record in engine._branches(t, engine.DEFAULT_LIMITS):  # once per shape
-            assert sum(1 for tree, _, _ in calls if tree == record.tree) == shapes
+        shapes = support_table(4).shapes
+        # the two leaves of each epsilon share a record, asked once per shape for each
+        shared = Counter(record for _, _, record in engine._branches(t, engine.DEFAULT_LIMITS))
+        assert sorted(shared.values()) == [2, 2]
+        assert Counter(calls) == {
+            (record, shape, closing): k for record, k in shared.items() for shape in shapes
+        }
 
     # counted or symbolic, one factor per (epsilon or quotient, shape, closing)
-    real_count = engine.tildhom_count
+    real_factor = engine._tildhom
     deeper = final_example(2, 3, eps_n=2, leaf_omegas=(2, 1))
     for tree, omega_vars, eps_vars in [(t, ["M1", "M3"], ["M4"]), (deeper, ["P"], ["M1"])]:
         factors = Counter()
 
-        def counted_factor(component, d_index, branch, limits=engine.DEFAULT_LIMITS):
-            record = engine._single_branch(branch, limits)
-            factors[record.quotient, record.flag_count, component, d_index] += 1
-            return real_count(component, d_index, branch, limits)
+        def counted_factor(component, d_index, record, limits):
+            key = (record.node, record.children, record.flag_count, component, d_index)
+            factors[key] += 1
+            return real_factor(component, d_index, record, limits)
 
         clear_caches()
-        with mock.patch.object(engine, "tildhom_count", counted_factor):
+        with mock.patch.object(engine, "_tildhom", counted_factor):
             count_semistar(tree), count_smstar(tree)
             semistar_polynomial(tree, omega_vars)
             smstar_polynomial(tree, omega_vars, eps_vars)
         assert factors and max(factors.values()) == 1
         # the leaves share one set of factors per epsilon, whatever their weights and ids
-        leaves = {flags for quotient, flags, _, _ in factors if quotient is None}
+        leaves = {flags for node, _, flags, _, _ in factors if node is None}
         assert leaves == {1, 2}
         if tree is t:  # two epsilons, every non-empty shape plain and domain-closing
             assert len(factors) == 2 * 2 * (len(support_table(4).shapes) - 1)
