@@ -34,8 +34,8 @@ CACHE_ENTRIES = 2048
 #: the shapes and the shapes less their domain (4 391 posets).
 SHAPE_ENTRIES = 4480
 
-#: The bound of a memo of materialized ordered sets.  One pass of a
-#: benchmark workload holds at most 14 of any one kind.
+#: The bound of a memo of materialized ordered sets, or of the block labels
+#: of one.  One pass of a benchmark workload holds at most 14 of any one kind.
 POSET_ENTRIES = 64
 
 #: The bound of the memos of sorted branch map lists, their covers and their

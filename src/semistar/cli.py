@@ -127,10 +127,7 @@ def _cmd_hasse(args) -> int:
         return EXIT_OK
     if target == "semistar":
         sp = engine.semistar_poset(tree, limits)
-        # the elements of a support come in a block and share its label
-        flagged, labels = sp.flagged, []
-        for label, first, end in zip(sp.block_labels, sp.offsets, (*sp.offsets[1:], sp.size)):
-            labels += [label] * (end - first)
+        flagged, labels = sp.flagged, sp.label_runs  # a support's elements share its label
     elif target.startswith("fstar:"):
         child = target.split(":", 1)[1]
         if child not in standard_decomposition(tree):
@@ -139,13 +136,12 @@ def _cmd_hasse(args) -> int:
         labels = None
     else:
         raise ValueError(f"unknown hasse target {target!r}")
+    # written in chunks from the covers: no whole document is held
     if args.format == "json":
-        payload = flagged.to_json_dict()
-        if labels is not None:
-            payload["labels"] = labels
-        print(json.dumps(payload, sort_keys=True))
+        flagged.write_json(sys.stdout, labels)
     else:
-        print(flagged.to_dot(labels=labels))
+        flagged.write_dot(sys.stdout, labels)
+    sys.stdout.write("\n")
     return EXIT_OK
 
 

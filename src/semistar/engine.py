@@ -55,6 +55,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import product as cartesian
 from math import prod
+from operator import sub
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -134,6 +135,14 @@ class FlaggedPoset:
         payload["ring_closing"] = sorted(self.ring_closing)
         return payload
 
+    def write_dot(self, out, labels=None):
+        """:meth:`to_dot` on the text stream ``out``, ``labels`` as runs ``(label, count)``."""
+        self.poset.write_dot(out, labels, self.ring_closing)
+
+    def write_json(self, out, labels=None):
+        """:meth:`to_json_dict`, with ``"labels"`` from the runs if given, as JSON on ``out``."""
+        self.poset.write_json(out, labels, self.ring_closing)
+
 
 @dataclass(frozen=True)
 class SemistarElement:
@@ -153,17 +162,27 @@ class SemistarPoset:
 
     The elements of one support come in a block; ``offsets`` holds the index
     of the first element of each block, ``families`` its support as a
-    bitset over the skeleton masks, ``block_labels`` its label, and
-    ``block_maps`` its map list per branch, in the order of the elements.
-    An element is decoded from these only when it is read (:attr:`elements`).
+    bitset over the skeleton masks, and ``block_maps`` its map list per
+    branch, in the order of the elements.  An element is decoded from these
+    only when it is read (:attr:`elements`); the block labels are made when
+    first read and memoized (:attr:`block_labels`), as no count reads them.
     """
 
     flagged: FlaggedPoset
     branch_ids: tuple[str, ...]
     offsets: tuple[int, ...]
     families: tuple[int, ...]
-    block_labels: tuple[str, ...]
     block_maps: tuple[tuple[tuple[OrderMap | None, ...], ...], ...]
+
+    @property
+    def block_labels(self) -> tuple[str, ...]:
+        """The label of each block's support."""
+        return _block_labels(self.families, self.branch_ids)
+
+    @property
+    def label_runs(self) -> tuple[tuple[str, int], ...]:
+        """Each block's label with its number of elements, as the exports take them."""
+        return tuple(zip(self.block_labels, map(sub, (*self.offsets[1:], self.size), self.offsets)))
 
     @property
     def elements(self) -> tuple[SemistarElement, ...]:
@@ -183,6 +202,12 @@ class SemistarPoset:
     @property
     def size(self) -> int:
         return self.flagged.poset.size
+
+
+@memo(POSET_ENTRIES)
+def _block_labels(families: tuple[int, ...], branch_ids: tuple[str, ...]) -> tuple[str, ...]:
+    """The label of each support in ``families``; sets with the same supports share them."""
+    return tuple(_family_label(family, branch_ids) for family in families)
 
 
 def _check_size(size: int, limits: Limits, what: str = "semistar poset"):
@@ -563,8 +588,7 @@ def _semistar_poset(branches: tuple, limits: Limits) -> SemistarPoset:
     keys.sort()  # a cover (lo, hi) is the key lo * n + hi, so one sort orders them all
     los, his = array("I", [key // n for key in keys]), array("I", [key % n for key in keys])
     flagged = FlaggedPoset(_CoverPoset(n, los, his), frozenset(flags))
-    labels = tuple(_family_label(family, branch_ids) for family in table.families)
-    return SemistarPoset(flagged, branch_ids, tuple(offsets), table.families, labels, tuple(blocks))
+    return SemistarPoset(flagged, branch_ids, tuple(offsets), table.families, tuple(blocks))
 
 
 def fstar_product(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> FlaggedPoset:

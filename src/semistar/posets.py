@@ -4,8 +4,10 @@ Elements of a poset are the integers ``0..size-1``.  The order is stored as
 the full reachability relation, one bitmask per element, so order queries are
 O(1); covering relations are derived on demand for Hasse exports, and a poset
 built from its covers keeps them and closes them into masks (``_closure``)
-when the order is first read.  All values are immutable and every operation
-is deterministic, so posets can be shared freely across threads.
+when the order is first read.  The exports (``write_dot``, ``write_json``)
+are written to a text stream from the covers, ``_CHUNK`` rows at a time.
+All values are immutable and every operation is deterministic, so posets
+can be shared freely across threads.
 
 Counting of maps P -> Q works in three regimes:
 
@@ -28,9 +30,12 @@ chains are exempt, as the down-sets of a chain of ``N`` are its ``N + 1`` prefix
 
 from __future__ import annotations
 
+import json
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from io import StringIO
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from ._memo import CACHE_ENTRIES, SHAPE_ENTRIES, memo
@@ -227,17 +232,115 @@ class Poset:
         return {"size": self.size, "covers": [[lo, hi] for lo, hi in zip(*self._cover_columns())]}
 
     def to_dot(self, labels: Sequence[str] | None = None, flagged: Iterable[int] = ()) -> str:
-        """Hasse diagram as DOT; flagged nodes are drawn with a double border."""
-        flagged = set(flagged)
-        escaped = {} if labels is None else {text: _dot_escaped(text) for text in set(labels)}
-        lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=ellipse];"]
-        for i in range(self.size):
-            label = escaped[labels[i]] if labels is not None else str(i)
-            extra = ", peripheries=2" if i in flagged else ""
-            lines.append(f'  n{i} [label="{label}"{extra}];')
-        lines.extend(f"  n{lo} -> n{hi};" for lo, hi in zip(*self._cover_columns()))
-        lines.append("}")
-        return "\n".join(lines)
+        """Hasse diagram as DOT, ``labels`` naming the elements; flagged ones get a double border."""
+        runs = None if labels is None else [(k, len(list(g))) for k, g in groupby(labels)]
+        text = StringIO()
+        self.write_dot(text, runs, flagged)
+        return text.getvalue()
+
+    def write_dot(self, out, labels: Iterable[tuple[str, int]] | None = None,
+                  flagged: Iterable[int] = ()):
+        """Write :meth:`to_dot` on the text stream ``out``, ``labels`` as runs ``(label, count)``.
+
+        The runs name the elements in order; ``None`` names each by its
+        index.  The node rows of ``_CHUNK`` elements are one template, each
+        run's row repeated, formatted by one ``%``; so are the covers.
+        """
+        if labels is None:  # the index is the label: it fills two fields of the row
+            rows, indices = [('  n%d [label="%d"%s];\n', self.size)], 2
+        else:  # the label is part of the row, so its ``%`` signs are doubled
+            rows, indices = [
+                ('  n%d [label="' + _dot_escaped(label).replace("%", "%%") + '"%s];\n', count)
+                for label, count in labels
+            ], 1
+            _check_named(sum(count for _, count in rows), self.size)
+        marked = sorted(flagged)
+        out.write("digraph hasse {\n  rankdir=BT;\n  node [shape=ellipse];\n")
+        for (a, b), template in zip(_chunks(self.size), _repeated(rows)):
+            extras = [""] * (b - a)
+            for i in marked[bisect_left(marked, a):bisect_left(marked, b)]:
+                extras[i - a] = ", peripheries=2"
+            out.write(template % _interleaved(*[range(a, b)] * indices, extras))
+        los, his = self._cover_columns()
+        for a, b in _chunks(len(los)):
+            out.write("  n%d -> n%d;\n" * (b - a) % _interleaved(los[a:b], his[a:b]))
+        out.write("}")
+
+    def write_json(self, out, labels: Iterable[tuple[str, int]] | None = None,
+                   flagged: Iterable[int] | None = None):
+        """Write ``json.dumps(payload, sort_keys=True)`` on the text stream ``out``.
+
+        ``payload`` is :meth:`to_json_dict` with ``"labels"``, one per
+        element from the runs ``(label, count)``, when ``labels`` is given,
+        and ``"ring_closing"``, the sorted ``flagged``, when that is.  Each
+        list is written ``_CHUNK`` items at a time.
+        """
+        if labels is not None:
+            labels = [(json.dumps(label) + ", ", count) for label, count in labels]
+            _check_named(sum(count for _, count in labels), self.size)
+        los, his = self._cover_columns()
+        out.write('{"covers": [')
+        _write_items(out, (
+            "[%d, %d], " * (b - a) % _interleaved(los[a:b], his[a:b]) for a, b in _chunks(len(los))
+        ))
+        if labels is not None:
+            out.write('], "labels": [')
+            _write_items(out, _repeated(labels))
+        if flagged is not None:
+            marked = sorted(flagged)
+            out.write('], "ring_closing": [')
+            _write_items(out, (
+                "%d, " * (b - a) % tuple(marked[a:b]) for a, b in _chunks(len(marked))
+            ))
+        out.write(f'], "size": {self.size}}}')
+
+
+#: The most elements or covers an export formats in one write.
+_CHUNK = 4096
+
+
+def _chunks(size: int):
+    """``range(size)`` cut into pieces ``(a, b)`` of ``_CHUNK``, the last maybe shorter."""
+    return ((a, min(a + _CHUNK, size)) for a in range(0, size, _CHUNK))
+
+
+def _repeated(runs: Iterable[tuple[str, int]]):
+    """Each text of the runs ``(text, count)`` repeated ``count`` times, joined per ``_CHUNK``."""
+    texts, filled = [], 0
+    for text, count in runs:
+        while count:
+            take = min(count, _CHUNK - filled)
+            texts.append(text * take)
+            count, filled = count - take, filled + take
+            if filled == _CHUNK:
+                yield "".join(texts)
+                texts, filled = [], 0
+    if texts:
+        yield "".join(texts)
+
+
+def _interleaved(*columns: Sequence) -> tuple:
+    """The entries of the equal-length ``columns`` row by row, for one ``%`` over a template."""
+    width = len(columns)
+    values = [None] * (width * len(columns[0]))
+    for c, column in enumerate(columns):
+        values[c::width] = column
+    return tuple(values)
+
+
+def _write_items(out, pieces: Iterable[str]):
+    """Write the pieces, each list items followed by ``", "``, without the last ``", "``."""
+    last = ""
+    for piece in pieces:
+        out.write(last)
+        last = piece
+    out.write(last[:-2])
+
+
+def _check_named(named: int, size: int):
+    """Raise unless the label runs name exactly the ``size`` elements."""
+    if named != size:
+        raise ValueError(f"the labels name {named} elements, the poset has {size}")
 
 
 class _CoverPoset(Poset):

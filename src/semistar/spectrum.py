@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from ._memo import CACHE_ENTRIES, memo
@@ -45,32 +47,31 @@ class TreeNode:
     epsilon: int | None = None
 
 
+#: The id of a node.
+_node_id = attrgetter("id")
+
+#: The fields of a node as a tuple, whose hash is the node's.
+_node_fields = attrgetter("id", "parent", "omega", "epsilon")
+
+
 class SpectrumTree:
     """A validated spectral tree.  Use :func:`validate_tree` or :func:`build_tree`."""
 
     __slots__ = ("nodes", "root_id", "_by_id", "_children", "_key", "_hash")
 
     def __init__(self, nodes: Sequence[TreeNode]):
-        problems = _collect_problems(nodes)
+        problems, by_id, key, children = _check_nodes(nodes)
         if problems:
             raise SpectrumValidationError(problems)
-        by_id = {n.id: n for n in nodes}
-        children: dict[str, list[str]] = {n.id: [] for n in nodes}
-        root_id = None
-        for n in nodes:
-            if n.parent is None:
-                root_id = n.id
-            else:
-                children[n.parent].append(n.id)
-        for ids in children.values():
-            ids.sort()
         object.__setattr__(self, "nodes", tuple(nodes))
-        object.__setattr__(self, "root_id", root_id)
+        object.__setattr__(self, "root_id", next(n.id for n in nodes if n.parent is None))
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_children", {k: tuple(v) for k, v in children.items()})
-        # the nodes by id: equality and hash read them, so memo hits sort nothing
-        object.__setattr__(self, "_key", tuple(sorted(self.nodes, key=lambda n: n.id)))
-        object.__setattr__(self, "_hash", hash(self._key))
+        # the child ids of each node that has any, sorted
+        object.__setattr__(self, "_children", dict(zip(children, map(tuple, children.values()))))
+        # the nodes by id: equality and hash read them, so memo hits sort nothing; the
+        # hash reads the fields of each node with no call into Python per node
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(tuple(map(hash, map(_node_fields, key)))))
 
     def __setattr__(self, name, value):
         raise AttributeError("SpectrumTree is immutable")
@@ -92,10 +93,10 @@ class SpectrumTree:
 
     def children(self, node_id: str) -> tuple[str, ...]:
         self.node(node_id)
-        return self._children[node_id]
+        return self._children.get(node_id, ())
 
     def is_leaf(self, node_id: str) -> bool:
-        return self.node(node_id).parent is not None and not self._children[node_id]
+        return self.node(node_id).parent is not None and node_id not in self._children
 
     def leaves(self) -> tuple[str, ...]:
         return tuple(sorted(n.id for n in self.nodes if self.is_leaf(n.id)))
@@ -173,8 +174,20 @@ class SpectrumTree:
         return "\n".join(lines)
 
 
+#: The keys a node row may hold.
+_NODE_KEYS = frozenset(("id", "parent", "omega", "epsilon"))
+
+#: The ``parent`` of a row that has none, as its fast path reads it.
+_ABSENT = object()
+
+
 def _coerce_nodes(data) -> list[TreeNode] | list[str]:
-    """Raw JSON-ish input to TreeNode list, or a list of structural problems."""
+    """Raw JSON-ish input to TreeNode list, or a list of structural problems.
+
+    Rows that are all exactly ``dict``, as ``json.loads`` makes them, are
+    checked a column at a time and made into nodes in one pass; any problem
+    sends them through the row-by-row checks, which name each problem.
+    """
     if isinstance(data, SpectrumTree):
         return list(data.nodes)
     if isinstance(data, Mapping):
@@ -185,22 +198,39 @@ def _coerce_nodes(data) -> list[TreeNode] | list[str]:
         rows = data
     if not isinstance(rows, (list, tuple)):
         return ['"nodes" is not a list']
+    if set(map(type, rows)) == {dict}:  # as ``json.loads`` makes them
+        ids, omegas, epsilons = (
+            list(map(dict.get, rows, repeat(key))) for key in ("id", "omega", "epsilon")
+        )
+        parents = list(map(dict.get, rows, repeat("parent"), repeat(_ABSENT)))
+        if (
+            set(map(type, ids)) <= {str} and all(ids)
+            and set(map(type, parents)) <= {str, type(None)}
+            and set(map(type, omegas)) <= {int}
+            and set(map(type, epsilons)) <= {int, type(None)}
+            # each row holds id, parent and omega, so the rest of its keys are
+            # epsilon alone when the keys of all rows add up so
+            and sum(map(len, rows))
+            == 3 * len(rows) + sum(map(dict.__contains__, rows, repeat("epsilon")))
+        ):  # every row is well formed, checked a column at a time
+            return list(map(TreeNode, ids, parents, omegas, epsilons))
     problems = []
     nodes = []
     for k, row in enumerate(rows):
-        if not isinstance(row, Mapping):
+        if type(row) is not dict and not isinstance(row, Mapping):
             problems.append(f"node #{k} is not an object")
             continue
         node_id = row.get("id")
         if not isinstance(node_id, str) or not node_id:
             problems.append(f"node #{k} has no usable id")
             continue
-        parent = row.get("parent", "missing")
-        if parent == "missing":
+        if "parent" in row:
+            parent = row["parent"]
+            if parent is not None and not isinstance(parent, str):
+                problems.append(f"node {node_id!r} has a non-string parent")
+                parent = None
+        else:
             problems.append(f"node {node_id!r} has no parent entry (use null for the root)")
-            parent = None
-        if parent is not None and not isinstance(parent, str):
-            problems.append(f"node {node_id!r} has a non-string parent")
             parent = None
         omega = row.get("omega")
         if not isinstance(omega, int) or isinstance(omega, bool):
@@ -210,78 +240,87 @@ def _coerce_nodes(data) -> list[TreeNode] | list[str]:
         if epsilon is not None and (not isinstance(epsilon, int) or isinstance(epsilon, bool)):
             problems.append(f"node {node_id!r} has a non-integer epsilon")
             epsilon = None
-        unknown = set(row) - {"id", "parent", "omega", "epsilon"}
-        if unknown:
-            problems.append(f"node {node_id!r} has unknown keys {sorted(unknown)}")
+        if not _NODE_KEYS.issuperset(row):
+            problems.append(f"node {node_id!r} has unknown keys {sorted(set(row) - _NODE_KEYS)}")
         nodes.append(TreeNode(node_id, parent, omega, epsilon))
     if problems:
         return problems
     return nodes
 
 
-def _collect_problems(nodes: Sequence[TreeNode]) -> list[str]:
-    problems = []
-    ids = [n.id for n in nodes]
-    if not nodes:
-        return ["tree has no nodes"]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        problems.append(f"duplicate node ids: {dupes}")
-        return problems
-    by_id = {n.id: n for n in nodes}
-    roots = [n for n in nodes if n.parent is None]
-    if len(roots) != 1:
-        problems.append(f"expected exactly one root (parent null), found {len(roots)}")
-        return problems
-    root = roots[0]
-    for n in nodes:
-        if n.parent is not None and n.parent not in by_id:
-            problems.append(f"node {n.id!r} references missing parent {n.parent!r}")
-    if any(n.parent is not None and n.parent not in by_id for n in nodes):
-        return problems
+def _check_nodes(nodes: Sequence[TreeNode]) -> tuple[list[str], dict, tuple, dict]:
+    """The problems of ``nodes`` as a tree, then the nodes by id, the nodes sorted by
+    id, and the sorted child ids of each parent.
 
-    children: dict[str, list[str]] = {n.id: [] for n in nodes}
-    for n in nodes:
-        if n.parent is not None:
-            children[n.parent].append(n.id)
-    reached = {root.id}
-    stack = [root.id]
-    while stack:
-        for child in children[stack.pop()]:
-            if child not in reached:
-                reached.add(child)
-                stack.append(child)
-    unreachable = sorted(set(ids) - reached)
-    if unreachable:
-        problems.append(f"not a tree: nodes unreachable from the root: {unreachable}")
-        return problems
+    The checks stop at the first kind of structural problem found; the
+    index and the child lists are then incomplete.  A node reached from the
+    root is reached once, as each has one parent, so the walk keeps no set.
+    """
+    if not nodes:
+        return ["tree has no nodes"], {}, (), {}
+    by_id = dict(zip(map(_node_id, nodes), nodes))
+    if len(by_id) != len(nodes):
+        seen, dupes = set(), set()
+        for n in nodes:
+            (dupes if n.id in seen else seen).add(n.id)
+        return [f"duplicate node ids: {sorted(dupes)}"], by_id, (), {}
+    key = tuple(map(by_id.__getitem__, sorted(by_id)))
+    roots, children, orphans = [], {}, False
+    for n in key:  # in id order, so each child list comes out sorted
+        parent = n.parent
+        kids = children.get(parent)
+        if kids is not None:
+            kids.append(n.id)
+        elif parent is None:
+            roots.append(n)
+        elif parent in by_id:
+            children[parent] = [n.id]
+        else:
+            orphans = True
+    if len(roots) != 1:
+        return [f"expected exactly one root (parent null), found {len(roots)}"], by_id, key, {}
+    if orphans:  # named in the order of the nodes
+        return [
+            f"node {n.id!r} references missing parent {n.parent!r}"
+            for n in nodes if n.parent is not None and n.parent not in by_id
+        ], by_id, key, children
+    root, problems = roots[0], []
+    order = [root.id]
+    for node_id in order:  # grows as it is read
+        order.extend(children.get(node_id, ()))
+    if len(order) != len(nodes):
+        unreachable = sorted(set(by_id).difference(order))
+        return [f"not a tree: nodes unreachable from the root: {unreachable}"], by_id, key, children
 
     if root.omega != 1:
         problems.append(f"root omega must be 1, got {root.omega}")
     if root.epsilon is not None:
         problems.append("the root carries no epsilon label")
     for n in nodes:
-        if n.omega < 1:
-            problems.append(f"node {n.id!r}: omega must be >= 1, got {n.omega}")
-        kids = children[n.id]
-        is_leaf = n.parent is not None and not kids
-        if n.parent is not None and len(kids) == 1:
+        node_id, omega, epsilon = n.id, n.omega, n.epsilon
+        if omega < 1:
+            problems.append(f"node {node_id!r}: omega must be >= 1, got {omega}")
+        if n.parent is None:
+            continue
+        kids = children.get(node_id)
+        if kids is None:
+            if epsilon is None:
+                problems.append(f"leaf {node_id!r} is missing its epsilon label")
+            elif epsilon not in (1, 2):
+                problems.append(f"leaf {node_id!r}: epsilon must be 1 or 2, got {epsilon}")
+            elif omega < epsilon:
+                problems.append(
+                    f"leaf {node_id!r}: omega ({omega}) must be at least epsilon ({epsilon})"
+                )
+            continue
+        if len(kids) == 1:
             problems.append(
-                f"node {n.id!r} has exactly one child and is not the root "
+                f"node {node_id!r} has exactly one child and is not the root "
                 "(not a branching point)"
             )
-        if is_leaf:
-            if n.epsilon is None:
-                problems.append(f"leaf {n.id!r} is missing its epsilon label")
-            elif n.epsilon not in (1, 2):
-                problems.append(f"leaf {n.id!r}: epsilon must be 1 or 2, got {n.epsilon}")
-            elif n.omega < n.epsilon:
-                problems.append(
-                    f"leaf {n.id!r}: omega ({n.omega}) must be at least epsilon ({n.epsilon})"
-                )
-        elif n.parent is not None and n.epsilon is not None:
-            problems.append(f"internal node {n.id!r} carries an epsilon label")
-    return problems
+        if epsilon is not None:
+            problems.append(f"internal node {node_id!r} carries an epsilon label")
+    return problems, by_id, key, children
 
 
 def validate_tree(data) -> SpectrumTree:

@@ -343,13 +343,16 @@ def test_hasse_labels_name_each_element_by_its_support(fex_path, capsys):
     from semistar import semistar_poset
     from semistar.spectrum import load_tree
 
+    from test_exports import reference_dot, reference_json
+
     sp = semistar_poset(load_tree(fex_path))
     expected = [e.support.label(sp.branch_ids) for e in sp.elements]
     code, out, _ = run(capsys, "hasse", fex_path, "--format", "json")
     assert code == 0 and json.loads(out)["labels"] == expected
+    assert out == reference_json(sp.flagged, expected) + "\n"
     code, out, _ = run(capsys, "hasse", fex_path)
     assert code == 0
-    assert out == sp.flagged.to_dot(labels=expected) + "\n"
+    assert out == reference_dot(sp.poset, expected, sp.ring_closing) + "\n"
 
 
 def test_hasse_exports_the_ordered_set_without_closing_it(fex_path, tmp_path, capsys):

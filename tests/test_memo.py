@@ -116,7 +116,9 @@ def test_every_memo_is_bounded_after_the_counts_workload(tmp_path):
     # per-shape values hold every shape of five branches; materialized sets a few dozen
     declared = {
         "SHAPE_ENTRIES": {"engine._term", "posets._chain_coeffs", "posets._down_set_masks"},
-        "POSET_ENTRIES": {"engine._semistar_poset", "engine._base", "engine._fstar"},
+        "POSET_ENTRIES": {
+            "engine._semistar_poset", "engine._base", "engine._fstar", "engine._block_labels"
+        },
         "SUM_ENTRIES": {"engine._support_sum"},
         "MAP_ENTRIES": {"engine._maps", "engine._map_covers", "engine._restrictions"},
     }

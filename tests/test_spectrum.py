@@ -1,4 +1,5 @@
 import json
+from types import MappingProxyType
 
 import pytest
 
@@ -104,6 +105,70 @@ def test_malformed_input_diagnostics():
     with pytest.raises(SpectrumValidationError) as exc:
         validate_tree({"nodes": [{"id": "0", "omega": 1}]})
     assert any("no parent entry" in p for p in exc.value.problems)
+
+
+#: Rows with a problem each, in the order their messages come: the row-by-row checks
+#: name every problem of every row before any check of the tree is made
+_BAD_ROWS = [
+    ([1, {"id": ""}, {"id": "M", "omega": True}], [
+        "node #0 is not an object",
+        "node #1 has no usable id",
+        "node 'M' has no parent entry (use null for the root)",
+        "node 'M' has no integer omega",
+    ]),
+    ([{"id": "0", "parent": 7, "omega": 1, "epsilon": 1.0, "x": 1, "a": 2}], [
+        "node '0' has a non-string parent",
+        "node '0' has a non-integer epsilon",
+        "node '0' has unknown keys ['a', 'x']",
+    ]),
+    ([{"id": "0", "parent": None, "omega": 2, "epsilon": 1},
+      {"id": "P", "parent": "0", "omega": 0, "epsilon": 2},
+      {"id": "M", "parent": "P", "omega": 1, "epsilon": 2}], [
+        "root omega must be 1, got 2",
+        "the root carries no epsilon label",
+        "node 'P': omega must be >= 1, got 0",
+        "node 'P' has exactly one child and is not the root (not a branching point)",
+        "internal node 'P' carries an epsilon label",
+        "leaf 'M': omega (1) must be at least epsilon (2)",
+    ]),
+    ([{"id": "0", "parent": None, "omega": 1}, {"id": "M", "parent": "Y", "omega": 1},
+      {"id": "N", "parent": "X", "omega": 1}], [
+        "node 'M' references missing parent 'Y'", "node 'N' references missing parent 'X'",
+    ]),
+    ([{"id": "b", "parent": None, "omega": 1}, {"id": "a", "parent": "b", "omega": 1},
+      {"id": "b", "parent": "a", "omega": 1}, {"id": "a", "parent": None, "omega": 1}], [
+        "duplicate node ids: ['a', 'b']",
+    ]),
+]
+
+
+@pytest.mark.parametrize("rows, problems", _BAD_ROWS)
+def test_problems_come_in_row_order_from_dicts_and_from_other_mappings(rows, problems):
+    # rows that are all exactly dicts are checked a column at a time first
+    for raw in (rows, [MappingProxyType(r) if isinstance(r, dict) else r for r in rows]):
+        with pytest.raises(SpectrumValidationError) as exc:
+            validate_tree({"nodes": raw})
+        assert exc.value.problems == problems
+
+
+def test_dict_rows_and_other_mappings_read_as_the_same_tree():
+    t = final_example(2, 3, 2, (2, 1), (2, 1))
+    rows = t.to_dict()["nodes"]
+    explicit = [dict(r, epsilon=r.get("epsilon")) for r in rows]  # null on internal nodes
+    for raw in (rows, [MappingProxyType(r) for r in rows], explicit):
+        read = validate_tree({"nodes": raw})
+        assert read == t and hash(read) == hash(t) and read.nodes == t.nodes
+        assert [read.children(n.id) for n in t.nodes] == [t.children(n.id) for n in t.nodes]
+
+
+def test_a_node_may_be_named_missing():
+    t = validate_tree({"nodes": [
+        {"id": "0", "parent": None, "omega": 1},
+        {"id": "missing", "parent": "0", "omega": 1},
+        {"id": "M", "parent": "missing", "omega": 1, "epsilon": 1},
+        {"id": "N", "parent": "missing", "omega": 1, "epsilon": 1},
+    ]})
+    assert t.children("missing") == ("M", "N") and t.leaves() == ("M", "N")
 
 
 def test_standard_decomposition_shapes():
