@@ -11,8 +11,8 @@ used entry past it.  The bound fits what the memo holds: one entry per
 component shape for the per-shape values (:data:`SHAPE_ENTRIES`), a few
 dozen for materialized ordered sets, which hold up to ``max_poset``
 elements each (:data:`POSET_ENTRIES`), a few hundred for support sums,
-which are one integer for a count but up to 0.6 MB for a polynomial in
-the four weights of four branches (:data:`SUM_ENTRIES`), a hundred or so
+one integer each (:data:`SUM_ENTRIES`), sixteen for finished counting
+polynomials, up to 10 MB each (:data:`POLY_ENTRIES`), a hundred or so
 for the branch map lists, covers and restrictions that ordered sets share
 (:data:`MAP_ENTRIES`), and :data:`CACHE_ENTRIES` for the small values kept
 per tree, per pair of posets or per branch count, and for the command
@@ -47,11 +47,17 @@ POSET_ENTRIES = 64
 #: maps), so these memos hold at most about 100 MB.
 MAP_ENTRIES = 128
 
-#: The bound of the support-sum memo, one entry per set of sibling branches
-#: (the root's children, or an internal node's, whose sums size its record),
-#: closing flag and symbolic branches.  One pass of the ``counts`` workload
-#: holds 48.
+#: The bound of the support-sum memo, one integer per set of sibling branches
+#: (the root's children, or an internal node's, whose sums size its record)
+#: and closing flag.  One pass of the ``counts`` workload holds 48.
 SUM_ENTRIES = 256
+
+#: The bound of the memo of finished counting polynomials, one per tree,
+#: count and set of variables.  The largest is 10 MB by tracemalloc: flat
+#: four branches (weight 3, epsilon 2) in the four weights and the four
+#: epsilons, 41 265 terms.  So the memo holds at most about 160 MB, and one
+#: pass of the ``poly`` workload (7 polynomials) fits.
+POLY_ENTRIES = 16
 
 
 class _Memo:

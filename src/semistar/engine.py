@@ -56,10 +56,17 @@ from dataclasses import dataclass
 from itertools import product as cartesian
 from math import prod
 from operator import sub
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from ._memo import CACHE_ENTRIES, MAP_ENTRIES, POSET_ENTRIES, SHAPE_ENTRIES, SUM_ENTRIES, memo
+from ._memo import (
+    CACHE_ENTRIES,
+    MAP_ENTRIES,
+    POLY_ENTRIES,
+    POSET_ENTRIES,
+    SHAPE_ENTRIES,
+    SUM_ENTRIES,
+    memo,
+)
 from .errors import EnumerationLimitError
 from .polynomials import MultiPoly, binomial_value
 from .posets import (
@@ -234,8 +241,8 @@ class _Record:
         if node is None:
             self.base_size, self.flag_count = 0, epsilon
         else:
-            self.base_size = _support_sum(children, False, frozenset(), limits)[()] - 1
-            self.flag_count = _support_sum(children, True, frozenset(), limits)[()]
+            self.base_size = _support_sum(children, False, limits) - 1
+            self.flag_count = _support_sum(children, True, limits)
 
 
 @memo(CACHE_ENTRIES)
@@ -246,21 +253,27 @@ def _record(node: str | None, children: tuple, epsilon: int | None, limits: Limi
 
 @memo(CACHE_ENTRIES)
 def _branches(t: SpectrumTree, limits: Limits) -> tuple[tuple[str, int, _Record], ...]:
-    """One ``(id, omega, record)`` triple per root child, in branch order.
+    """One ``(id, omega, record)`` triple per root child, in branch order."""
+    return tuple(_triple(t, child, {}, limits) for child in t.children(t.root_id))
 
-    Every record is made in one pass over the tree, children before their
+
+def _triple(t: SpectrumTree, top: str, epsilon: Mapping[str, int], limits: Limits):
+    """The ``(id, omega, record)`` triple of node ``top``, its leaves in ``epsilon`` at that label.
+
+    Every record of the subtree is made in one pass, children before their
     parents (breadth-first order, reversed), each from its children's
     triples: no quotient is copied, and no call nests deeper with the tree.
     """
-    order = [t.root_id]
+    order = [top]
     for node_id in order:  # grows as it is read: breadth-first
         order.extend(t.children(node_id))
     triples = {}
-    for node_id in reversed(order[1:]):
+    for node_id in reversed(order):
         node, children = t.node(node_id), tuple(triples[c] for c in t.children(node_id))
-        record = _record(node_id if children else None, children, node.epsilon, limits)
+        label = epsilon.get(node_id, node.epsilon)
+        record = _record(node_id if children else None, children, label, limits)
         triples[node_id] = (node_id, node.omega, record)
-    return tuple(triples[c] for c in t.children(t.root_id))
+    return triples[top]
 
 
 def _single_branch(branch: SpectrumTree, limits: Limits) -> tuple[str, int, _Record]:
@@ -371,43 +384,25 @@ def _term(record: _Record, component: Poset, closing: bool, limits: Limits):
 
 
 @memo(SUM_ENTRIES)
-def _support_sum(
-    branches: tuple, closing: bool, symbolic: frozenset[str], limits: Limits
-) -> Mapping[tuple[int, ...], int]:
-    """Sum over supports of the product of the branch factors, in the binomial basis.
+def _support_sum(branches: tuple, closing: bool, limits: Limits) -> int:
+    """Sum over supports of the product of the branch factors, each branch at its label.
 
-    Each branch takes its factor once per shape of the support table.
-    ``closing`` keeps the rows whose support contains the domain and sends
-    the domain to ring-closing elements.  A branch at its label is folded
-    into the row products one column at a time; those in ``symbolic`` stay
-    polynomials in their weights, their rows grouped by shapes and expanded
-    into ``{(k_1, ..., k_s): c}`` for the sum of ``c * C(n_1, k_1) ...
-    C(n_s, k_s)``, indices in branch order.  A count is the ``()`` entry.
-    Memoized per set of sibling branches, the sum is a read-only view every caller shares.
+    Each branch takes its factor once per shape of the support table and is
+    folded into the row products one column at a time.  ``closing`` keeps
+    the rows whose support contains the domain and sends the domain to
+    ring-closing elements.  Memoized per set of sibling branches.
     """
     table = support_table(len(branches), max_branches=limits.max_branches)
-    acc, kept = list(table.closing) if closing else [1] * len(table.closing), []
-    for (child, omega, record), column in zip(branches, table.columns):
-        factors = [_term(record, component, closing, limits) for component in table.shapes]
-        if child in symbolic:
-            kept.append((column, [[(k, c) for k, c in enumerate(f) if c] for f in factors]))
-        else:
-            values = [binomial_value(f, omega) for f in factors]
-            acc = [a * values[s] for a, s in zip(acc, column)]
-    if not kept:
-        return MappingProxyType({(): sum(acc)})
-    groups: dict[tuple[int, ...], int] = {}
-    for key, factor in zip(zip(*(column for column, _ in kept)), acc):
-        if factor:
-            groups[key] = groups.get(key, 0) + factor
-    total: dict[tuple[int, ...], int] = {}
-    for key, factor in groups.items():
-        term = {(): factor}
-        for s, (_, pieces) in zip(key, kept):
-            term = {e + (k,): c * a for e, c in term.items() for k, a in pieces[s]}
-        for e, c in term.items():
-            total[e] = total.get(e, 0) + c
-    return MappingProxyType(total)
+    return sum(_fold(table, zip(branches, table.columns), closing, limits))
+
+
+def _fold(table, pairs, closing: bool, limits: Limits) -> list[int]:
+    """The row products of ``table`` over ``(branch, column)`` pairs, each branch at its label."""
+    acc = list(table.closing) if closing else [1] * len(table.closing)
+    for (_, omega, record), column in pairs:
+        values = [binomial_value(_term(record, p, closing, limits), omega) for p in table.shapes]
+        acc = [a * values[s] for a, s in zip(acc, column)]
+    return acc
 
 
 def count_semistar(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
@@ -418,7 +413,7 @@ def count_semistar(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
     branch's fractional-star poset.  The quotient-field-only support
     contributes the single all-to-field operation.
     """
-    return _support_sum(_branches(t, limits), False, frozenset(), limits)[()]
+    return _support_sum(_branches(t, limits), False, limits)
 
 
 def count_fstar(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
@@ -428,7 +423,7 @@ def count_fstar(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
 
 def count_smstar(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
     """Number of semistar operations that close the domain itself."""
-    return _support_sum(_branches(t, limits), True, frozenset(), limits)[()]
+    return _support_sum(_branches(t, limits), True, limits)
 
 
 def count_star(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
@@ -440,9 +435,9 @@ def count_report(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> dict[str, 
     """All four cardinalities, in a stable key order, from one read of the branches."""
     branches = _branches(t, limits)
     return {
-        "semistar": _support_sum(branches, False, frozenset(), limits)[()],
+        "semistar": _support_sum(branches, False, limits),
         "fstar": prod(r.base_size + omega for _, omega, r in branches),
-        "smstar": _support_sum(branches, True, frozenset(), limits)[()],
+        "smstar": _support_sum(branches, True, limits),
         "star": prod(r.flag_count for _, _, r in branches),
     }
 
@@ -540,7 +535,7 @@ def semistar_poset(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> Semistar
 @memo(POSET_ENTRIES)
 def _semistar_poset(branches: tuple, limits: Limits) -> SemistarPoset:
     branch_ids = tuple(child for child, _, _ in branches)
-    n = _support_sum(branches, False, frozenset(), limits)[()]
+    n = _support_sum(branches, False, limits)
     _check_size(n, limits)
     fstars = [_fstar(branch, limits) for branch in branches]
     table = pair_table(len(fstars), max_branches=limits.max_branches)
@@ -611,9 +606,12 @@ def fstar_product(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> FlaggedPo
 
 # -- symbolic counting polynomials ---------------------------------------------------
 
+#: The count at epsilon 1 weighs ``2 - eps = 2 C(eps, 0) - C(eps, 1)``, that at 2 ``eps - 1``.
+_AFFINE = {1: (2, -1), 2: (-1, 1)}
+
 
 def _symbolic_branches(t: SpectrumTree, node_ids: Sequence[str]) -> list[str]:
-    """The chosen root children in branch order, the order of ``_support_sum``'s indices."""
+    """The chosen root children in branch order."""
     roots = standard_decomposition(t)
     for node_id in node_ids:
         t.node(node_id)
@@ -638,9 +636,7 @@ def semistar_polynomial(
     """
     if not variables:
         raise ValueError("need at least one symbolic node")
-    names = _symbolic_branches(t, variables)
-    sums = _support_sum(_branches(t, limits), False, frozenset(names), limits)
-    return MultiPoly.from_binomial(names, sums)
+    return _polynomial(t, False, tuple(variables), (), limits)
 
 
 def smstar_polynomial(
@@ -653,39 +649,114 @@ def smstar_polynomial(
 
     Weight variables must be children of the root; they stay symbolic in the
     support sum of ``count_smstar``.  Epsilon variables may sit at any leaf
-    and are named ``eps_<id>``.  Epsilon is 1 or 2, so the count is affine
-    in it: ``C(eps, 0) (2 P(1) - P(2)) + C(eps, 1) (P(2) - P(1))`` in the
-    binomial basis, ``P(e)`` the sum of the tree relabelled with that
-    epsilon, combined in integers into one ``MultiPoly.from_binomial``.
+    and are named ``eps_<id>``; each stays symbolic in the branch above it,
+    in the same one support sum.  Epsilon is 1 or 2, so a branch's factor
+    is affine in it: ``C(eps, 0) (2 f(1) - f(2)) + C(eps, 1) (f(2) - f(1))``
+    in the binomial basis, ``f(e)`` the factor of the branch's record with
+    that leaf at ``e`` (four records for two such leaves in one branch).  For
+    a leaf branch that is ``C(eps, 0) (h - h') + C(eps, 1) h'`` with ``h`` the
+    factor at epsilon 1 and ``h'`` its shift, as in :func:`tildhom_count`.
+    No tree is relabelled.
     """
     if not omega_variables and not epsilon_variables:
         raise ValueError("need at least one symbolic node")
-    names = _symbolic_branches(t, omega_variables)
+    return _polynomial(t, True, tuple(omega_variables), tuple(epsilon_variables), limits)
+
+
+@memo(POLY_ENTRIES)
+def _polynomial(
+    t: SpectrumTree, closing: bool, omega_variables: tuple, epsilon_variables: tuple, limits: Limits
+) -> MultiPoly:
+    """The finished polynomial, one read-only value every caller shares."""
+    weights = _symbolic_branches(t, omega_variables)
     eps_ids = sorted(set(epsilon_variables))
-    eps_names = {node_id: f"eps_{node_id}" for node_id in eps_ids}
-    clash = set(eps_names.values()) & (set(omega_variables) | set(eps_ids))
+    clash = {f"eps_{node_id}" for node_id in eps_ids} & set(omega_variables + epsilon_variables)
     if clash:
         raise ValueError(f"variable name collision: {sorted(clash)}")
+    leaves: dict[str, list[str]] = {}  # the symbolic leaves below each root child
     for node_id in eps_ids:
         if not t.is_leaf(node_id):
             raise ValueError(f"epsilon is symbolic only at leaves, {node_id!r} is not one")
-        if node_id not in omega_variables and t.omega(node_id) < 2:
+        if node_id not in weights and t.omega(node_id) < 2:
             raise ValueError(
                 f"leaf {node_id!r} needs weight >= 2 for a symbolic epsilon "
                 "(the weight always dominates epsilon)"
             )
+        child = node_id
+        while t.node(child).parent != t.root_id:
+            child = t.node(child).parent
+        leaves.setdefault(child, []).append(node_id)
+    branches, symbolic, names = _branches(t, limits), {}, []
+    for child, _, _ in branches:
+        mine = leaves.get(child, [])
+        if child in weights or mine:
+            labels = cartesian((1, 2), repeat=len(mine))
+            records = tuple(_triple(t, child, dict(zip(mine, e)), limits)[2] for e in labels)
+            symbolic[child] = (child in weights, records)
+            names += ([child] if child in weights else []) + [f"eps_{v}" for v in mine]
+    return MultiPoly.from_binomial(names, _binomial_sum(branches, closing, symbolic, limits))
 
-    symbolic = frozenset(names)
-    # a symbolic weight's label is never read, so it may rise to admit epsilon 2
-    omega = {v: 2 for v in eps_ids if v in symbolic and t.omega(v) < 2}
-    # the weight of epsilon 1 is 2 - eps = 2 C(eps, 0) - C(eps, 1), that of 2 is eps - 1
-    lagrange = {1: (2, -1), 2: (-1, 1)}
+
+def _binomial_sum(branches: tuple, closing: bool, symbolic: Mapping, limits: Limits) -> dict:
+    """The support sum with the branches in ``symbolic`` kept as polynomials, in the binomial basis.
+
+    ``symbolic`` maps a branch id to ``(weight, records)``: whether its
+    weight stays a variable, and its records at each epsilon (1 or 2) of its
+    symbolic leaves, in product order (its own record if it has none).  The
+    answer is ``{(k_1, ..., k_s): c}`` for the sum of ``c * C(x_1, k_1) ...
+    C(x_s, k_s)``, the variables of each symbolic branch in branch order,
+    its weight before its epsilons.  The other branches are folded into the
+    row products as in :func:`_support_sum`; the rows are then grouped by
+    the shape ids of the symbolic branches and contracted, the last branch
+    folded into each prefix of shape ids first, so a prefix's partial sum is
+    expanded once for all the rows below it.
+    """
+    table = support_table(len(branches), max_branches=limits.max_branches)
+    pairs = list(zip(branches, table.columns))
+    acc = _fold(table, [p for p in pairs if p[0][0] not in symbolic], closing, limits)
+    kept = []
+    for (child, omega, _), column in pairs:
+        if child in symbolic:
+            weight, records = symbolic[child]
+            at = None if weight else omega
+            factors = ([_term(r, p, closing, limits) for r in records] for p in table.shapes)
+            kept.append((column, [_affine(f, at) for f in factors]))
+    if not kept:
+        return {(): sum(acc)}
+    groups: dict[tuple[int, ...], int] = {}
+    for key, factor in zip(zip(*(column for column, _ in kept)), acc):
+        if factor:
+            groups[key] = groups.get(key, 0) + factor
+    sums = {key: {(): factor} for key, factor in groups.items()}
+    for _, pieces in reversed(kept):
+        folded: dict[tuple[int, ...], dict] = {}
+        for key, partial in sums.items():
+            out = folded.setdefault(key[:-1], {})
+            for k, a in pieces[key[-1]]:
+                for e, c in partial.items():
+                    out[k + e] = out.get(k + e, 0) + a * c
+        sums = folded
+    return sums.get((), {})
+
+
+def _affine(factors: list, omega: int | None) -> list[tuple[tuple[int, ...], int]]:
+    """One shape's factor of a symbolic branch, as pairs ``(indices, c)``, nonzero ``c`` only.
+
+    ``factors`` holds the factor in C(n, k) of each of the branch's records,
+    ``2 ** j`` for ``j`` symbolic epsilons.  The weight's index comes first,
+    if it is symbolic (``omega`` is ``None``); otherwise the factor is taken
+    at ``omega``.  Then come the indices of C(eps, 0) and C(eps, 1), each
+    record weighed by :data:`_AFFINE`.
+    """
+    j = len(factors).bit_length() - 1
     total: dict[tuple[int, ...], int] = {}
-    for values in cartesian((1, 2), repeat=len(eps_ids)):
-        relabelled = t.with_labels(omega=omega, epsilon=dict(zip(eps_ids, values))) if values else t
-        part = _support_sum(_branches(relabelled, limits), True, symbolic, limits)
-        for ks in cartesian((0, 1), repeat=len(values)):
-            w = prod(lagrange[v][k] for v, k in zip(values, ks))
-            for key, c in part.items():
+    for values, f in zip(cartesian((1, 2), repeat=j), factors):
+        if omega is None:
+            parts = [((k,), c) for k, c in enumerate(f)]
+        else:
+            parts = [((), binomial_value(f, omega))]
+        for ks in cartesian((0, 1), repeat=j):
+            w = prod(_AFFINE[v][k] for v, k in zip(values, ks))
+            for key, c in parts:
                 total[key + ks] = total.get(key + ks, 0) + w * c
-    return MultiPoly.from_binomial(names + [eps_names[v] for v in eps_ids], total)
+    return [(key, c) for key, c in total.items() if c]

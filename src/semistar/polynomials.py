@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, product as cartesian
 from math import comb, factorial
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InconsistentEvaluatorError
@@ -39,7 +40,11 @@ def _as_fraction(value) -> Fraction:
 
 
 class MultiPoly:
-    """A polynomial in finitely many named variables with Fraction coefficients."""
+    """A polynomial in finitely many named variables with Fraction coefficients.
+
+    ``terms`` maps exponent tuples to coefficients, as a read-only view: a
+    polynomial may be shared, as the memoized counting polynomials are.
+    """
 
     __slots__ = ("variables", "terms")
 
@@ -49,9 +54,9 @@ class MultiPoly:
         terms: Mapping[tuple[int, ...], Scalar],
         _canonical: bool = False,
     ):
-        if _canonical:  # sorted used variables, Fraction terms, none zero
+        if _canonical:  # sorted used variables, Fraction terms, none zero; a fresh dict
             object.__setattr__(self, "variables", variables)
-            object.__setattr__(self, "terms", terms)
+            object.__setattr__(self, "terms", MappingProxyType(terms))
             return
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
@@ -76,15 +81,15 @@ class MultiPoly:
         object.__setattr__(
             self,
             "terms",
-            {tuple(e[used[i]] for i in order): c for e, c in cleaned.items()},
+            MappingProxyType({tuple(e[used[i]] for i in order): c for e, c in cleaned.items()}),
         )
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
     def __reduce__(self):
-        """Copied and pickled in its canonical form."""
-        return MultiPoly, (self.variables, self.terms, True)
+        """Copied and pickled in its canonical form, the terms as a plain ``dict``."""
+        return MultiPoly, (self.variables, dict(self.terms), True)
 
     # -- constructors ------------------------------------------------------
 
@@ -131,6 +136,9 @@ class MultiPoly:
         terms = {tuple(key[i] for i in used): c for key, c in terms.items()}
         scale = 1
         for i in used:  # expand the first index, append its exponents at the end
+            if tops[i] == 1:  # C(x, 0) = 1 and C(x, 1) = x: the index is the exponent
+                terms = {key[1:] + key[:1]: c for key, c in terms.items()}
+                continue
             rows = _falling_rows(tops[i])
             expanded: dict[tuple[int, ...], int] = {}
             for key, c in terms.items():

@@ -39,7 +39,7 @@ IDEMPOTENT = "idempotent"
 NONIDEMPOTENT = "nonidempotent"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeNode:
     id: str
     parent: str | None

@@ -1,6 +1,8 @@
 import random
 import sys
 from fractions import Fraction
+from itertools import product as cartesian
+from math import prod
 from unittest import mock
 
 import pytest
@@ -31,6 +33,8 @@ from semistar import (
     subposet,
     tildhom_count,
 )
+from semistar import engine
+from semistar.engine import DEFAULT_LIMITS
 from semistar.spectrum import SpectrumTree, Support, branch_subtree
 
 
@@ -752,6 +756,80 @@ def test_counts_sets_and_polynomials_copy_no_tree():
         poly = semistar_polynomial(t, ["P", "N"])
     assert built == []
     assert report["semistar"] == sp.size == poly.evaluate({"P": 2, "N": 1})
+
+
+# -- epsilon as a branch variable against relabelled trees ------------------------------
+
+
+def _relabel_and_combine(t, omega_vars, eps_vars, limits=DEFAULT_LIMITS):
+    """The domain-closing polynomial from one support sum per epsilon assignment.
+
+    Each of the 2^k assignments of the symbolic epsilons relabels the tree;
+    its sum in the weights is weighed by ``2 - eps`` at epsilon 1 and by
+    ``eps - 1`` at 2, both in C(eps, 0) and C(eps, 1), and the weighed sums
+    are added in integers into one ``MultiPoly.from_binomial``.
+    """
+    names = [c for c in t.children(t.root_id) if c in omega_vars]
+    eps_ids = sorted(set(eps_vars))
+    # a symbolic weight's label is never read, so it may rise to admit epsilon 2
+    omega = {v: 2 for v in eps_ids if v in names and t.omega(v) < 2}
+    lagrange = {1: (2, -1), 2: (-1, 1)}
+    total = {}
+    for values in cartesian((1, 2), repeat=len(eps_ids)):
+        relabelled = t.with_labels(omega=omega, epsilon=dict(zip(eps_ids, values)))
+        branches = engine._branches(relabelled, limits)
+        symbolic = {c: (True, (record,)) for c, _, record in branches if c in names}
+        part = engine._binomial_sum(branches, True, symbolic, limits)
+        for ks in cartesian((0, 1), repeat=len(values)):
+            w = prod(lagrange[v][k] for v, k in zip(values, ks))
+            for key, c in part.items():
+                total[key + ks] = total.get(key + ks, 0) + w * c
+    return MultiPoly.from_binomial(names + [f"eps_{v}" for v in eps_ids], total)
+
+
+def _assert_matches_relabelled(t, omega_vars, eps_vars):
+    poly = smstar_polynomial(t, omega_vars, eps_vars)
+    reference = _relabel_and_combine(t, omega_vars, eps_vars)
+    assert poly == reference and poly.to_json_dict() == reference.to_json_dict()
+
+
+def test_symbolic_epsilon_matches_relabelled_trees():
+    flat2, flat3 = h_local([2, 1], [2, 1]), h_local([3, 2, 1], [1, 2, 1])
+    cases = [
+        (flat2, ["M1", "M2"], ["M1", "M2"]),
+        (flat2, ["M2"], ["M1", "M2"]),
+        (flat3, ["M1", "M2", "M3"], ["M1", "M2", "M3"]),
+        (flat3, [], ["M1", "M2"]),
+        (y_tree(2, (2, 1), (3, 2)), ["P"], ["M1", "M2"]),  # both leaves of one internal branch
+        (y_tree(1, (2, 2), (2, 1)), [], ["M1", "M2"]),
+        (final_example(1, 2, leaf_omegas=(2, 1)), ["N"], ["M1"]),  # a deep epsilon
+        (final_example(2, 2, 2, leaf_omegas=(2, 2)), ["N", "P"], ["M1", "M2", "N"]),
+    ]
+    for t, omega_vars, eps_vars in cases:
+        _assert_matches_relabelled(t, omega_vars, eps_vars)
+
+
+@pytest.mark.slow
+def test_symbolic_epsilon_matches_relabelled_trees_on_four_branches():
+    ids = ["M1", "M2", "M3", "M4"]
+    _assert_matches_relabelled(h_local([3] * 4, [2] * 4), ids, ids)
+
+
+def test_symbolic_epsilon_relabels_no_tree():
+    cases = [
+        (h_local([2, 2], [1, 2]), ["M1", "M2"], ["M1", "M2"]),
+        (y_tree(2, (2, 1), (3, 2)), ["P"], ["M1", "M2"]),
+        (final_example(1, 2, 2, leaf_omegas=(2, 2)), ["N"], ["M1", "M2", "N"]),
+    ]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a tree was relabelled")
+
+    clear_caches()
+    with mock.patch.object(SpectrumTree, "with_labels", refused):
+        polys = [smstar_polynomial(*case) for case in cases]
+    for poly, (t, omega_vars, eps_vars) in zip(polys, cases):
+        assert poly == _relabel_and_combine(t, omega_vars, eps_vars)
 
 
 # -- polynomials against interpolated element enumeration -------------------------------

@@ -2,10 +2,12 @@
 
 import ast
 import contextlib
+import copy
 import gc
 import importlib.util
 import json
 import os
+import pickle
 import sys
 from io import StringIO
 
@@ -120,6 +122,7 @@ def test_every_memo_is_bounded_after_the_counts_workload(tmp_path):
             "engine._semistar_poset", "engine._base", "engine._fstar", "engine._block_labels"
         },
         "SUM_ENTRIES": {"engine._support_sum"},
+        "POLY_ENTRIES": {"engine._polynomial"},
         "MAP_ENTRIES": {"engine._maps", "engine._map_covers", "engine._restrictions"},
     }
     for bound, names in declared.items():
@@ -131,16 +134,33 @@ def test_a_memoized_sum_cannot_be_changed_by_its_caller():
     t = validate_tree(README_TREE)
     count = engine.count_semistar(t)
     branches = engine._branches(t, engine.DEFAULT_LIMITS)
-    for symbolic in (frozenset(), frozenset({"N"})):
-        total = engine._support_sum(branches, False, symbolic, engine.DEFAULT_LIMITS)
-        key = next(iter(total))
-        with pytest.raises(TypeError):
-            total[key] = 0
-        with pytest.raises(AttributeError):
-            total.clear()
-        assert engine._support_sum(branches, False, symbolic, engine.DEFAULT_LIMITS) == total
+    for closing in (False, True):
+        total = engine._support_sum(branches, closing, engine.DEFAULT_LIMITS)
+        assert type(total) is int  # a value no caller can change in place
     assert engine.count_semistar(t) == count
     assert engine.semistar_polynomial(t, ["N"]).evaluate({"N": 1}) == count
+
+
+def test_a_memoized_polynomial_cannot_be_changed_by_its_caller():
+    t = validate_tree(README_TREE)
+    count = engine.count_smstar(t)
+    poly = engine.smstar_polynomial(t, ["N"], ["N"])
+    expected = dict(poly.terms)
+    key = next(iter(expected))
+    with pytest.raises(TypeError):
+        poly.terms[key] = 0
+    with pytest.raises(AttributeError):
+        poly.terms.clear()
+    with pytest.raises(AttributeError):
+        poly.terms = {}
+    again = engine.smstar_polynomial(t, ["N"], ["N"])
+    assert again is poly and again.terms == expected  # one memo entry, unchanged
+    assert again.evaluate({"N": 1, "eps_N": 1}) == count
+    for copied in (copy.copy(poly), copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))):
+        assert copied == poly and hash(copied) == hash(poly) and copied.terms == expected
+        assert copied.to_json_dict() == poly.to_json_dict()
+        with pytest.raises(TypeError):
+            copied.terms[key] = 0
 
 
 def _flat(leaves, omega=2):

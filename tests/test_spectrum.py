@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 from types import MappingProxyType
 
 import pytest
@@ -23,7 +26,7 @@ from semistar import (
     validate_tree,
 )
 from semistar.oracle import _brute_support_families, brute_supports
-from semistar.spectrum import IDEMPOTENT, NONIDEMPOTENT, Support, _union_closed
+from semistar.spectrum import IDEMPOTENT, NONIDEMPOTENT, SpectrumTree, Support, _union_closed
 
 
 def test_y_shape_is_valid():
@@ -371,6 +374,19 @@ def test_json_round_trip_and_dot():
     dot = t.to_dot()
     assert "omega=3" in dot and "eps=2" in dot
     assert t.to_dot() == t.to_dot()
+
+
+def test_a_tree_of_slotted_nodes_copies_and_pickles():
+    t = final_example(3, 2, eps_n=2)
+    node = t.node("N")
+    assert not hasattr(node, "__dict__")  # frozen and slotted
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.omega = 4
+    for make in (copy.copy, copy.deepcopy, lambda tree: pickle.loads(pickle.dumps(tree))):
+        twin = make(t)
+        assert type(twin) is SpectrumTree and twin == t and hash(twin) == hash(t)
+        assert twin.nodes == t.nodes and twin.node("N") == node
+        assert twin.to_json() == t.to_json()
 
 
 def test_with_labels():
