@@ -33,7 +33,6 @@ from .spectrum import (
     branch_subtree,
     enumerate_supports,
     skeleton,
-    standard_decomposition,
     _read_tree,
 )
 
@@ -129,10 +128,7 @@ def _cmd_hasse(args) -> int:
         sp = engine.semistar_poset(tree, limits)
         flagged, labels = sp.flagged, sp.label_runs  # a support's elements share its label
     elif target.startswith("fstar:"):
-        child = target.split(":", 1)[1]
-        if child not in standard_decomposition(tree):
-            raise UnknownNodeError(f"{child!r} is not a child of the root")
-        flagged = engine.fstar_poset(branch_subtree(tree, child), limits)
+        flagged = engine.fstar_poset(branch_subtree(tree, target.split(":", 1)[1]), limits)
         labels = None
     else:
         raise ValueError(f"unknown hasse target {target!r}")

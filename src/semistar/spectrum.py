@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -50,28 +49,25 @@ class TreeNode:
 #: The id of a node.
 _node_id = attrgetter("id")
 
-#: The fields of a node as a tuple, whose hash is the node's.
-_node_fields = attrgetter("id", "parent", "omega", "epsilon")
-
 
 class SpectrumTree:
     """A validated spectral tree.  Use :func:`validate_tree` or :func:`build_tree`."""
 
     __slots__ = ("nodes", "root_id", "_by_id", "_children", "_key", "_hash")
 
-    def __init__(self, nodes: Sequence[TreeNode]):
+    def __init__(self, nodes: Iterable[TreeNode]):
+        nodes = tuple(nodes)
         problems, by_id, key, children = _check_nodes(nodes)
         if problems:
             raise SpectrumValidationError(problems)
-        object.__setattr__(self, "nodes", tuple(nodes))
+        object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "root_id", next(n.id for n in nodes if n.parent is None))
         object.__setattr__(self, "_by_id", by_id)
         # the child ids of each node that has any, sorted
         object.__setattr__(self, "_children", dict(zip(children, map(tuple, children.values()))))
-        # the nodes by id: equality and hash read them, so memo hits sort nothing; the
-        # hash reads the fields of each node with no call into Python per node
+        # the nodes by id: equality and hash read them, so memo hits sort nothing
         object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(tuple(map(hash, map(_node_fields, key)))))
+        object.__setattr__(self, "_hash", hash(key))
 
     def __setattr__(self, name, value):
         raise AttributeError("SpectrumTree is immutable")
@@ -177,17 +173,33 @@ class SpectrumTree:
 #: The keys a node row may hold.
 _NODE_KEYS = frozenset(("id", "parent", "omega", "epsilon"))
 
-#: The ``parent`` of a row that has none, as its fast path reads it.
-_ABSENT = object()
+
+def _field_problems(problems: list[str], k: int, node: TreeNode, parent_entry: bool = True) -> bool:
+    """Add to ``problems`` what is wrong with the fields of node ``k``; False for a bad id.
+
+    Every way into a tree runs these checks: the id is a non-empty string,
+    the parent a string or null, omega an integer and epsilon one or null,
+    where a ``bool`` is no integer.  A node without a usable id is named by
+    its index and nothing more is said of it.  ``parent_entry`` is False for
+    a JSON row with no ``parent`` key.
+    """
+    node_id, parent, omega, epsilon = node.id, node.parent, node.omega, node.epsilon
+    if not isinstance(node_id, str) or not node_id:
+        problems.append(f"node #{k} has no usable id")
+        return False
+    if not parent_entry:
+        problems.append(f"node {node_id!r} has no parent entry (use null for the root)")
+    elif parent is not None and not isinstance(parent, str):
+        problems.append(f"node {node_id!r} has a non-string parent")
+    if not isinstance(omega, int) or isinstance(omega, bool):
+        problems.append(f"node {node_id!r} has no integer omega")
+    if epsilon is not None and (not isinstance(epsilon, int) or isinstance(epsilon, bool)):
+        problems.append(f"node {node_id!r} has a non-integer epsilon")
+    return True
 
 
 def _coerce_nodes(data) -> list[TreeNode] | list[str]:
-    """Raw JSON-ish input to TreeNode list, or a list of structural problems.
-
-    Rows that are all exactly ``dict``, as ``json.loads`` makes them, are
-    checked a column at a time and made into nodes in one pass; any problem
-    sends them through the row-by-row checks, which name each problem.
-    """
+    """Raw JSON-ish input to TreeNode list, or a list of the problems of its rows."""
     if isinstance(data, SpectrumTree):
         return list(data.nodes)
     if isinstance(data, Mapping):
@@ -198,64 +210,39 @@ def _coerce_nodes(data) -> list[TreeNode] | list[str]:
         rows = data
     if not isinstance(rows, (list, tuple)):
         return ['"nodes" is not a list']
-    if set(map(type, rows)) == {dict}:  # as ``json.loads`` makes them
-        ids, omegas, epsilons = (
-            list(map(dict.get, rows, repeat(key))) for key in ("id", "omega", "epsilon")
-        )
-        parents = list(map(dict.get, rows, repeat("parent"), repeat(_ABSENT)))
-        if (
-            set(map(type, ids)) <= {str} and all(ids)
-            and set(map(type, parents)) <= {str, type(None)}
-            and set(map(type, omegas)) <= {int}
-            and set(map(type, epsilons)) <= {int, type(None)}
-            # each row holds id, parent and omega, so the rest of its keys are
-            # epsilon alone when the keys of all rows add up so
-            and sum(map(len, rows))
-            == 3 * len(rows) + sum(map(dict.__contains__, rows, repeat("epsilon")))
-        ):  # every row is well formed, checked a column at a time
-            return list(map(TreeNode, ids, parents, omegas, epsilons))
     problems = []
     nodes = []
     for k, row in enumerate(rows):
         if type(row) is not dict and not isinstance(row, Mapping):
             problems.append(f"node #{k} is not an object")
             continue
-        node_id = row.get("id")
-        if not isinstance(node_id, str) or not node_id:
-            problems.append(f"node #{k} has no usable id")
+        node = TreeNode(row.get("id"), row.get("parent"), row.get("omega"), row.get("epsilon"))
+        if not _field_problems(problems, k, node, "parent" in row):
             continue
-        if "parent" in row:
-            parent = row["parent"]
-            if parent is not None and not isinstance(parent, str):
-                problems.append(f"node {node_id!r} has a non-string parent")
-                parent = None
-        else:
-            problems.append(f"node {node_id!r} has no parent entry (use null for the root)")
-            parent = None
-        omega = row.get("omega")
-        if not isinstance(omega, int) or isinstance(omega, bool):
-            problems.append(f"node {node_id!r} has no integer omega")
-            omega = 1
-        epsilon = row.get("epsilon")
-        if epsilon is not None and (not isinstance(epsilon, int) or isinstance(epsilon, bool)):
-            problems.append(f"node {node_id!r} has a non-integer epsilon")
-            epsilon = None
         if not _NODE_KEYS.issuperset(row):
-            problems.append(f"node {node_id!r} has unknown keys {sorted(set(row) - _NODE_KEYS)}")
-        nodes.append(TreeNode(node_id, parent, omega, epsilon))
-    if problems:
-        return problems
-    return nodes
+            problems.append(f"node {node.id!r} has unknown keys {sorted(set(row) - _NODE_KEYS)}")
+        nodes.append(node)
+    return problems or nodes
 
 
 def _check_nodes(nodes: Sequence[TreeNode]) -> tuple[list[str], dict, tuple, dict]:
     """The problems of ``nodes`` as a tree, then the nodes by id, the nodes sorted by
     id, and the sorted child ids of each parent.
 
-    The checks stop at the first kind of structural problem found; the
-    index and the child lists are then incomplete.  A node reached from the
-    root is reached once, as each has one parent, so the walk keeps no set.
+    The fields of every node are checked first (:func:`_field_problems`),
+    and an entry that is no :class:`TreeNode` is named.  The structural
+    checks stop at the first kind of problem found, leaving the index and
+    the child lists incomplete.  A node reached from the root is reached
+    once, as each has one parent, so the walk keeps no set.
     """
+    problems: list[str] = []
+    for k, n in enumerate(nodes):
+        if not isinstance(n, TreeNode):
+            problems.append(f"node #{k} is not a TreeNode")
+        else:
+            _field_problems(problems, k, n)
+    if problems:
+        return problems, {}, (), {}
     if not nodes:
         return ["tree has no nodes"], {}, (), {}
     by_id = dict(zip(map(_node_id, nodes), nodes))
@@ -284,7 +271,7 @@ def _check_nodes(nodes: Sequence[TreeNode]) -> tuple[list[str], dict, tuple, dic
             f"node {n.id!r} references missing parent {n.parent!r}"
             for n in nodes if n.parent is not None and n.parent not in by_id
         ], by_id, key, children
-    root, problems = roots[0], []
+    root = roots[0]
     order = [root.id]
     for node_id in order:  # grows as it is read
         order.extend(children.get(node_id, ()))
@@ -338,16 +325,17 @@ def validate_tree(data) -> SpectrumTree:
 
 
 def build_tree(rows: Iterable) -> SpectrumTree:
-    """Convenience constructor from tuples ``(id, parent, omega[, epsilon])``."""
-    nodes = []
-    for row in rows:
-        if isinstance(row, TreeNode):
-            nodes.append(row)
-        else:
-            node_id, parent, omega = row[0], row[1], row[2]
-            epsilon = row[3] if len(row) > 3 else None
-            nodes.append(TreeNode(node_id, parent, omega, epsilon))
-    return SpectrumTree(nodes)
+    """Convenience constructor from tuples ``(id, parent, omega[, epsilon])``.
+
+    A label left out is null, as in a JSON row: ``(id, parent)`` has no
+    integer omega.  :class:`TreeNode` rows pass as they are; so does any
+    other row that is not two to four entries, which the tree names.
+    """
+    return SpectrumTree(
+        TreeNode(*row, *[None] * (4 - len(row)))
+        if isinstance(row, (tuple, list)) and 2 <= len(row) <= 4 else row
+        for row in rows
+    )
 
 
 def load_tree(path) -> SpectrumTree:

@@ -138,6 +138,8 @@ def test_hasse_targets(fex_path, capsys):
     assert json.loads(out)["size"] == 67
     code, out, _ = run(capsys, "hasse", fex_path, "--target", "tree")
     assert "omega=1" in out
+    code, out, _ = run(capsys, "hasse", fex_path, "--target", "tree", "--format", "json")
+    assert code == 0 and json.loads(out) == FEX
 
 
 def test_supports_listing(fex_path, capsys):
@@ -165,7 +167,11 @@ def test_unknown_node_exit_3(fex_path, capsys):
     code, _, err = run(capsys, "poly", fex_path, "--semistar", "--var", "missing")
     assert code == 3
     code, _, err = run(capsys, "hasse", fex_path, "--target", "fstar:missing")
-    assert code == 3
+    assert (code, err) == (3, "error: 'missing' is not a child of the root\n")
+    code, _, err = run(capsys, "hasse", fex_path, "--target", "fstar:M1")
+    assert (code, err) == (3, "error: 'M1' is not a child of the root\n")
+    code, out, err = run(capsys, "hasse", fex_path, "--target", "poset")
+    assert (code, out, err) == (3, "", "error: unknown hasse target 'poset'\n")
 
 
 def test_poly_var_not_root_child_exit_3(fex_path, capsys):

@@ -6,6 +6,8 @@ from math import prod
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import caterpillar, final_example, h_local, random_tree, run_fresh, valuation, y_tree
 from semistar import (
@@ -307,7 +309,7 @@ def test_counts_build_no_polynomial():
 
 
 def test_fstar_product_cardinalities():
-    for t in (h_local([2, 3], [1, 2]), final_example(2, 3, eps_n=2)):
+    for t in (h_local([2, 3], [1, 2]), final_example(2, 3, eps_n=2), build_tree([("0", None, 1)])):
         fp = fstar_product(t)
         assert fp.size == count_fstar(t)
         assert len(fp.ring_closing) == count_star(t)
@@ -439,6 +441,25 @@ def test_smstar_polynomial_epsilon_only():
 def test_smstar_polynomial_rejects_unit_weight_with_symbolic_epsilon():
     with pytest.raises(ValueError):
         smstar_polynomial(valuation(1, 1), [], ["M"])
+
+
+#: A root child ``eps_M`` beside a leaf ``M``: the epsilon variable of ``M`` is named ``eps_M``.
+_CLASHING = [("0", None, 1), ("eps_M", "0", 2, 1), ("M", "0", 2, 1)]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: semistar_polynomial(h_local([1, 1]), []), "need at least one symbolic node"),
+    (lambda: smstar_polynomial(h_local([1, 1]), [], []), "need at least one symbolic node"),
+    (lambda: smstar_polynomial(build_tree(_CLASHING), ["eps_M"], ["M"]),
+     r"variable name collision: \['eps_M'\]"),
+    (lambda: smstar_polynomial(final_example(2, 2), [], ["P"]),
+     "epsilon is symbolic only at leaves, 'P' is not one"),
+    (lambda: tildhom_count(chain(2), 1, valuation(2, 1)),
+     "the designated domain element must be the component minimum"),
+])
+def test_polynomial_and_tildhom_arguments_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_flagged_poset_exports():
@@ -584,6 +605,34 @@ def test_counts_invariant_under_relabeling():
             smstar_polynomial(t, [child])
         )
         assert _set_summary(relabeled) == _set_summary(t)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**16), st.randoms(use_true_random=False))
+def test_counts_and_polynomials_are_invariant_under_a_renaming_of_the_ids(seed, rng):
+    t = random_tree(random.Random(seed))
+    ids = [n.id for n in t.nodes]
+    # a permutation of the ids, so the children of a node may come out in another order
+    mapping = dict(zip(ids, rng.sample(ids, len(ids))))
+    renamed = build_tree(
+        (mapping[n.id], None if n.parent is None else mapping[n.parent], n.omega, n.epsilon)
+        for n in t.nodes
+    )
+    children = t.children(t.root_id)
+    back = {mapping[child]: child for child in children}
+    assert _outcome(count_report, renamed) == _outcome(count_report, t)
+    polynomial = _outcome(semistar_polynomial, renamed, [mapping[c] for c in children])
+    if isinstance(polynomial, MultiPoly):
+        polynomial = polynomial.rename_variables(back)
+    assert polynomial == _outcome(semistar_polynomial, t, children)
+
+
+def _outcome(call, *args):
+    """The value of the call, or the error class when it trips a limit."""
+    try:
+        return call(*args)
+    except EnumerationLimitError:
+        return EnumerationLimitError
 
 
 def _set_summary(t):

@@ -81,6 +81,10 @@ def test_degrees():
     assert p.degree_in("b") == 2
     assert p.degree_in("missing") == 0
     assert MultiPoly.zero().degree() == -1
+    assert p.coefficient({"a": 2, "b": 1}) == 1 and p.coefficient({"b": 2}) == 1
+    assert p.coefficient({"a": 1}) == 0 and p.coefficient({}) == 0
+    assert (p + Fraction(1, 3)).coefficient({"a": 0}) == Fraction(1, 3)
+    assert p.coefficient({"b": 2, "c": 1}) == 0 and p.coefficient({"b": 2, "c": 0}) == 1
 
 
 @given(polys(), polys(), polys())

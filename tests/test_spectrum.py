@@ -2,11 +2,14 @@ import copy
 import dataclasses
 import json
 import pickle
+import random
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import final_example, h_local, run_fresh, valuation, y_tree
+from conftest import final_example, h_local, random_tree, run_fresh, valuation, y_tree
 from semistar import (
     EnumerationLimitError,
     SpectrumValidationError,
@@ -26,13 +29,22 @@ from semistar import (
     validate_tree,
 )
 from semistar.oracle import _brute_support_families, brute_supports
-from semistar.spectrum import IDEMPOTENT, NONIDEMPOTENT, SpectrumTree, Support, _union_closed
+from semistar.spectrum import (
+    IDEMPOTENT,
+    NONIDEMPOTENT,
+    SpectrumTree,
+    Support,
+    TreeNode,
+    _union_closed,
+)
 
 
 def test_y_shape_is_valid():
     t = y_tree(3, (2, 1), (4, 2))
     assert standard_decomposition(t) == ("P",)
     assert t.leaves() == ("M1", "M2")
+    with pytest.raises(ValueError, match="node 'P' carries no epsilon label"):
+        t.epsilon("P")
 
 
 def test_single_leaf_under_root_is_valid():
@@ -108,6 +120,9 @@ def test_malformed_input_diagnostics():
     with pytest.raises(SpectrumValidationError) as exc:
         validate_tree({"nodes": [{"id": "0", "omega": 1}]})
     assert any("no parent entry" in p for p in exc.value.problems)
+    with pytest.raises(SpectrumValidationError) as exc:
+        validate_tree({"nodes": {"id": "0", "parent": None, "omega": 1}})
+    assert exc.value.problems == ['"nodes" is not a list']
 
 
 #: Rows with a problem each, in the order their messages come: the row-by-row checks
@@ -147,11 +162,118 @@ _BAD_ROWS = [
 
 @pytest.mark.parametrize("rows, problems", _BAD_ROWS)
 def test_problems_come_in_row_order_from_dicts_and_from_other_mappings(rows, problems):
-    # rows that are all exactly dicts are checked a column at a time first
+    # every row, a dict or another mapping, passes the same row checks in turn
     for raw in (rows, [MappingProxyType(r) if isinstance(r, dict) else r for r in rows]):
         with pytest.raises(SpectrumValidationError) as exc:
             validate_tree({"nodes": raw})
         assert exc.value.problems == problems
+
+
+_FIELDS = ("id", "parent", "omega", "epsilon")
+
+#: A two-branch tree, 0 over a (omega 1) and b (omega 2), both with epsilon 1.
+_TWO = [("0", None, 1), ("a", "0", 1, 1), ("b", "0", 2, 1)]
+
+
+def _json_problems(rows):
+    """The problems ``validate_tree`` names for rows given as JSON objects."""
+    with pytest.raises(SpectrumValidationError) as exc:
+        validate_tree({"nodes": [dict(zip(_FIELDS, row)) for row in rows]})
+    return exc.value.problems
+
+
+def _with_a(omega=1, epsilon=1):
+    return [_TWO[0], ("a", "0", omega, epsilon), _TWO[2]]
+
+
+#: Bad labels, ids and rows, each given to a library constructor, with the same rows as
+#: JSON objects: a float, bool or text label, an integer id or parent, a short row
+_DEFECTS = [
+    pytest.param(lambda: build_tree(_TWO).with_labels(omega={"a": float(10**17 + 1)}),
+                 _with_a(omega=float(10**17 + 1)), id="big-float-omega"),
+    pytest.param(lambda: build_tree(_with_a(omega=2.5)), _with_a(omega=2.5), id="fraction-omega"),
+    pytest.param(lambda: build_tree(_TWO).with_labels(omega={"a": True}), _with_a(omega=True),
+                 id="bool-omega"),
+    pytest.param(lambda: SpectrumTree([TreeNode(*row) for row in _with_a(omega="x")]),
+                 _with_a(omega="x"), id="text-omega"),
+    pytest.param(lambda: build_tree(_TWO).with_labels(epsilon={"a": 1.0}), _with_a(epsilon=1.0),
+                 id="float-epsilon"),
+    pytest.param(lambda: build_tree(_TWO).with_labels(epsilon={"a": True}), _with_a(epsilon=True),
+                 id="bool-epsilon"),
+    pytest.param(lambda: build_tree([_TWO[0], (7, "0", 1, 1)]), [_TWO[0], (7, "0", 1, 1)],
+                 id="integer-id"),
+    pytest.param(lambda: build_tree([_TWO[0], ("a", "0")]), [_TWO[0], ("a", "0")], id="short-row"),
+    pytest.param(lambda: build_tree([_TWO[0], ("a", 0, 1, 1)]), [_TWO[0], ("a", 0, 1, 1)],
+                 id="integer-parent"),
+]
+
+
+@pytest.mark.parametrize("make, rows", _DEFECTS)
+def test_every_constructor_names_the_problems_of_the_same_rows_as_json(make, rows):
+    with pytest.raises(SpectrumValidationError) as exc:
+        make()
+    assert exc.value.problems == _json_problems(rows)
+
+
+def test_an_entry_that_is_no_tree_node_is_named():
+    with pytest.raises(SpectrumValidationError) as exc:
+        SpectrumTree([{"id": "0", "parent": None, "omega": 1}, TreeNode("a", "0", 1.5, 1)])
+    assert exc.value.problems == ["node #0 is not a TreeNode", "node 'a' has no integer omega"]
+    for rows in ([("0",)], [("0", None, 1, None, 5)], [5]):
+        with pytest.raises(SpectrumValidationError) as exc:
+            build_tree(rows)
+        assert exc.value.problems == ["node #0 is not a TreeNode"]
+
+
+def test_an_unpickled_tree_is_checked():
+    # a pickle is rebuilt through the constructor, so a forged one is checked too
+    with pytest.raises(SpectrumValidationError) as exc:
+        pickle.loads(pickle.dumps(_ForgedTree()))
+    assert exc.value.problems == ["node '0' has no integer omega"]
+
+
+class _ForgedTree:
+    """Pickles as a tree whose root has omega ``True``."""
+
+    def __reduce__(self):
+        return SpectrumTree, ((TreeNode("0", None, True),),)
+
+
+#: JSON scalars, floats and bools, as a label or an id may hold them
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(-1, 3) | st.floats() | st.text(max_size=2)
+)
+
+
+@st.composite
+def _four_field_rows(draw):
+    """The rows of a valid tree, ``(id, parent, omega, epsilon)``, some fields replaced."""
+    t = random_tree(random.Random(draw(st.integers(0, 2**16))))
+    rows = [[n.id, n.parent, n.omega, n.epsilon] for n in t.nodes]
+    ids = st.sampled_from([n.id for n in t.nodes])
+    for _ in range(draw(st.integers(0, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.integers(0, 3))] = draw(_SCALARS | ids)
+    return [tuple(row) for row in draw(st.permutations(rows))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_four_field_rows())
+def test_every_entry_point_accepts_and_rejects_the_same_rows(rows):
+    makers = (
+        lambda: validate_tree({"nodes": [dict(zip(_FIELDS, row)) for row in rows]}),
+        lambda: build_tree(rows),
+        lambda: SpectrumTree([TreeNode(*row) for row in rows]),
+    )
+    outcomes = []
+    for make in makers:
+        try:
+            tree = make()
+        except SpectrumValidationError as exc:
+            outcomes.append(exc.problems)
+        else:
+            outcomes.append((tree, hash(tree), tree.to_json()))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 def test_dict_rows_and_other_mappings_read_as_the_same_tree():
@@ -271,6 +393,10 @@ def test_support_invariants_enforced():
         Support(2, frozenset({0b01}))  # missing the quotient field
     with pytest.raises(ValueError):
         Support(2, frozenset({0, 0b01, 0b10}))  # not union-closed
+    with pytest.raises(ValueError, match="mask 4 out of range for 2 branches"):
+        Support(2, frozenset({0, 0b100}))
+    with pytest.raises(ValueError, match="branch index 2 out of range"):
+        Support(2, frozenset({0, 0b11})).component(2)
 
 
 def test_support_components_two_branch_cases():
@@ -367,6 +493,7 @@ def test_json_round_trip_and_dot():
     t = final_example(3, 2, eps_n=2)
     again = validate_tree(json.loads(t.to_json()))
     assert again == t
+    assert validate_tree(t) == t and validate_tree(t).nodes == t.nodes
     # equality and hash ignore the node order, and every label counts
     shuffled = build_tree(reversed(t.nodes))
     assert shuffled == t and hash(shuffled) == hash(t)
