@@ -542,6 +542,13 @@ def _semistar_poset(branches: tuple, limits: Limits) -> SemistarPoset:
     # every shape occurs at every branch, so each of these lists is read
     shape_maps = [[_maps(p, f.poset, limits.max_maps) for p in table.shapes] for f in fstars]
     map_covers = [[_map_covers(p, f.poset, limits.max_maps) for p in table.shapes] for f in fstars]
+    # per branch and shape, the maps sending entry 0, the domain when a support holds it, to
+    # a ring-closing element (none for the empty shape, which no such support has)
+    starred = [
+        [[j for j, g in enumerate(maps) if g is not None and g.image[0] in f.ring_closing]
+         for maps in branch]
+        for f, branch in zip(fstars, shape_maps)
+    ]
     full = (1 << len(fstars)) - 1
     first, offsets, radices, blocks, flags, keys = 0, [], [], [], set(), []
     for k, family in enumerate(table.families):  # in the order of the elements
@@ -549,12 +556,11 @@ def _semistar_poset(branches: tuple, limits: Limits) -> SemistarPoset:
         offsets.append(first)
         radices.append([len(branch) for branch in maps])
         blocks.append(maps)
-        if family >> full & 1:  # the support holds the domain, entry 0 of every map
+        if family >> full & 1:  # the support holds the domain
             # the flagged elements are mixed-radix in the flagged maps of each branch
             flagged = [0]
-            for f, branch in zip(fstars, maps):
-                starred = [j for j, g in enumerate(branch) if g.image[0] in f.ring_closing]
-                flagged = [o * len(branch) + j for o in flagged for j in starred]
+            for branch, column, width in zip(starred, table.columns, radices[-1]):
+                flagged = [o * width + j for o in flagged for j in branch[column[k]]]
             flags.update(first + o for o in flagged)
         # inside the block one branch map moves, those after it varying fastest: the
         # elements at its map ``lo`` are runs of ``stride``, ``span`` apart, so the keys

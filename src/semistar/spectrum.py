@@ -24,7 +24,8 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import chain, compress
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from ._memo import CACHE_ENTRIES, memo
@@ -181,9 +182,17 @@ def _field_problems(problems: list[str], k: int, node: TreeNode, parent_entry: b
     the parent a string or null, omega an integer and epsilon one or null,
     where a ``bool`` is no integer.  A node without a usable id is named by
     its index and nothing more is said of it.  ``parent_entry`` is False for
-    a JSON row with no ``parent`` key.
+    a JSON row with no ``parent`` key.  A row whose fields have exactly
+    these types passes one combined test; any other row is looked at field
+    by field.
     """
     node_id, parent, omega, epsilon = node.id, node.parent, node.omega, node.epsilon
+    if (
+        type(node_id) is str and node_id and parent_entry
+        and (parent is None or type(parent) is str)
+        and type(omega) is int and (epsilon is None or type(epsilon) is int)
+    ):
+        return True
     if not isinstance(node_id, str) or not node_id:
         problems.append(f"node #{k} has no usable id")
         return False
@@ -536,15 +545,26 @@ def _family_key(family: int):
     return family.bit_count(), tuple(_iter_bits(family))
 
 
-def _reverse_inclusion(masks: Sequence[int]) -> Poset:
-    """The masks by index, ``a`` below ``b`` when ``a`` contains ``b`` (ring inclusion)."""
-    return Poset._unchecked([sum(1 << j for j, b in enumerate(masks) if a & b == b) for a in masks])
+def _reverse_inclusion(masks: Sequence[int]) -> tuple[int, ...]:
+    """The up-masks of the masks by index, ``a`` below ``b`` when ``a`` contains ``b``.
+
+    That is ring inclusion.  These are a shape's :class:`Poset` up-masks.
+    """
+    up = []
+    for a in masks:
+        mask, bit = 0, 1
+        for b in masks:
+            if a & b == b:
+                mask |= bit
+            bit <<= 1
+        up.append(mask)
+    return tuple(up)
 
 
 @memo(CACHE_ENTRIES)
 def _component_poset(masks: tuple[int, ...], full_mask: int) -> tuple[Poset, int | None]:
     d_index = masks.index(full_mask) if full_mask in masks else None
-    return _reverse_inclusion(masks), d_index
+    return Poset._unchecked(_reverse_inclusion(masks)), d_index
 
 
 class SupportTable:
@@ -554,35 +574,78 @@ class SupportTable:
     :func:`_union_closed`, in generation order (:class:`PairTable` puts the
     rows in canonical order).  A support enters a sum only through its
     component posets, so the sum needs ``shapes``, the distinct component
-    posets; ``columns[i]``, each row's shape id at branch ``i``; and
+    posets, numbered as they first occur at branch 0 (every shape occurs at
+    every branch); ``columns[i]``, each row's shape id at branch ``i``; and
     ``closing``, one byte per row, 1 when the support contains the domain.
     A shape's element 0 is its minimum (the union, with the most bits), the
-    domain when the support contains it.  A branch's component is the
-    family's bitset masked by that branch, ordered as its link, the family
-    over ``m - 1`` branches left when that bit is taken out of each mask, so
-    each distinct link is sorted into a poset once (at most 122 at four
-    branches) and no :class:`Support` is built.
+    domain when the support contains it.
+
+    The columns are read off the step of :func:`_extensions` that makes the
+    rows, each a support ``A`` over ``m - 1`` branches joined to a candidate
+    ``B``.  A branch's component is ordered as its link, the family over
+    ``m - 1`` branches left when that bit is taken out of each mask.  The
+    last branch links as ``B``; any other branch ``b`` as the link of ``A``
+    at ``b`` or'ed with that of ``B`` moved past the masks without the last
+    branch.  So each branch has one row of shape ids over the candidates
+    per link of an ``A``, and a row of the table takes its entries from
+    these at the candidates that fit its ``A``.  Each distinct link is
+    read into up-masks once, each distinct set of up-masks made a poset
+    once (38 at four branches), and no :class:`Support` is built.
     """
 
     __slots__ = ("families", "shapes", "columns", "closing")
 
     def __init__(self, m: int):
-        self.families = families = _union_closed(m)
-        ids: dict[Poset, int] = {}
+        if not m:
+            self.families, self.shapes, self.columns, self.closing = (1,), (), (), b"\x01"
+            return
+        self.families, candidates, fitting, picks = _extensions(m)
+        smaller, half = _union_closed(m - 1), 1 << m - 1
+        order = sorted(range(half), key=_component_sort_key)  # a link's masks in order
+        ups: dict[tuple[int, ...], int] = {}  # the up-masks of each shape -> its id
         by_link: dict[int, int] = {}  # link bitset -> shape id
+
+        def shape(link: int) -> int:
+            if link not in by_link:
+                up = _reverse_inclusion([s for s in order if link >> s & 1])
+                by_link[link] = ups.setdefault(up, len(ups))
+            return by_link[link]
+
+        def column(rows: dict, lows: list[int]) -> Iterable:
+            """Per ``A``, the entries of the row of its link at the ``B`` that fit it."""
+            return chain.from_iterable(pick(rows[x]) for pick, x in zip(picks, lows))
+
+        # per branch, the link of the part of each ``A``, and the candidates by the link of
+        # their part: a row links as the ``or`` of the two, and ``B`` less its empty mask
+        # links as ``B``
+        parts = []
+        for b, part in enumerate(_inside(m - 1)):
+            lows = [_link(family & part, b) for family in smaller]
+            parts.append((lows, [low << (half >> 1) for low in lows + lows]))
+        parts.append(([0] * len(smaller), candidates))
+        lows, highs = parts[0]  # number the shapes as their links first occur at branch 0
+        over, ys = itemgetter(*highs), dict.fromkeys(highs)
+        links = {x: over({y: x | y for y in ys}) for x in dict.fromkeys(lows)}
+        for link in dict.fromkeys(column(links, lows)):
+            shape(link)
         columns = []
-        for b, part in enumerate(_inside(m)):
-            shape_of = {}  # component bitset -> shape id
-            for component in dict.fromkeys(family & part for family in families):
-                link = _link(component, b)
-                if link not in by_link:
-                    masks = tuple(sorted(_iter_bits(link), key=_component_sort_key))
-                    by_link[link] = ids.setdefault(_reverse_inclusion(masks), len(ids))
-                shape_of[component] = by_link[link]
-            columns.append(array("I", (shape_of[family & part] for family in families)))
-        self.shapes, self.columns = tuple(ids), tuple(columns)
-        full = (1 << m) - 1
-        self.closing = bytes(family >> full & 1 for family in families)
+        for lows, highs in parts:
+            with_y: dict[int, int] = {}  # the link of a ``B``'s part -> the candidates, a bitset
+            for k, y in enumerate(highs):
+                with_y[y] = with_y.get(y, 0) | 1 << k
+            meets: dict[int, int] = {}  # the link of an ``A``'s part -> the ``B`` fitting one
+            for x, fits in zip(lows, fitting):
+                meets[x] = meets.get(x, 0) | fits
+            over = itemgetter(*highs)  # a cell that no row reads is ``None``
+            rows = {
+                x: over({y: shape(x | y) if fits & ks else None for y, ks in with_y.items()})
+                for x, fits in meets.items()
+            }
+            columns.append(array("I", column(rows, lows)))
+        self.shapes = tuple(map(Poset._unchecked, ups))
+        self.columns = tuple(columns)
+        closes = [family >> half - 1 & 1 for family in candidates]
+        self.closing = bytes(chain.from_iterable(pick(closes) for pick in picks))
 
 
 def _inside(m: int) -> tuple[int, ...]:
@@ -601,23 +664,29 @@ def _link(component: int, b: int) -> int:
     return sum(1 << (s & low | s >> 1 & ~low) for s in _iter_bits(component))
 
 
-@memo(CACHE_ENTRIES)
-def _union_closed(m: int) -> tuple[int, ...]:
-    """The supports over ``m`` branches as bitsets over the masks, in generation order.
+#: Turns the digits of a ``bin`` string into flags for ``compress``.
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
-    Bit ``s`` of a family is set when mask ``s`` is in it.  A family splits
-    at its last branch into ``A``, its masks without that branch, and ``B``,
-    the masks with it, that bit removed.  ``A`` is a support over ``m - 1``
-    branches and ``B`` is one with or without its empty mask (so ``B`` may
-    be empty), and the family ``A | B << 2^(m-1)`` is union-closed exactly
-    when ``a | b`` is in ``B`` for every ``a`` in ``A`` and ``b`` in ``B``.
-    So each mask ``a`` gets one bitset over the candidates ``B``, marking
-    those closed under ``| a``, and the ``B`` that fit an ``A`` are the
-    ``and`` of the bitsets of its masks (Brinkmann & Deklerck, "Generation
-    of union-closed sets and Moore families", J. Integer Sequences, 2018).
+
+def _extensions(m: int) -> tuple[tuple[int, ...], tuple[int, ...], list[int], list[itemgetter]]:
+    """The supports over ``m`` branches, each a support ``A`` over ``m - 1`` joined to a ``B``.
+
+    A family over ``m`` branches splits at its last branch into ``A``, its
+    masks without that branch, and ``B``, the masks with it, that bit
+    removed.  ``A`` is a support over ``m - 1`` branches and ``B`` is one
+    with or without its empty mask (so ``B`` may be empty), and the family
+    ``A | B << 2^(m-1)`` is union-closed exactly when ``a | b`` is in ``B``
+    for every ``a`` in ``A`` and ``b`` in ``B``.  So each mask ``a`` gets
+    one bitset over the candidates ``B``, marking those closed under
+    ``| a``, and the ``B`` that fit an ``A`` are the ``and`` of the bitsets
+    of its masks (Brinkmann & Deklerck, "Generation of union-closed sets
+    and Moore families", J. Integer Sequences, 2018).  Returned are
+    the families ``A | B << 2^(m-1)``, ``A`` in the order of
+    ``_union_closed(m - 1)`` and then ``B`` in the order of the candidates;
+    the candidates, each support over ``m - 1`` branches and then each less
+    its empty mask; and, per ``A``, the bitset of the indices of the ``B``
+    that fit it and an ``itemgetter`` of them.
     """
-    if m == 0:
-        return (1,)
     smaller = _union_closed(m - 1)
     half = 1 << m - 1
     candidates = smaller + tuple(family ^ 1 for family in smaller)
@@ -634,14 +703,33 @@ def _union_closed(m: int) -> tuple[int, ...]:
             if not joined & ~family:
                 fits |= 1 << k
         closed.append(fits)
-    shifted = [family << half for family in candidates]
-    found = []
+    fitting = []
     for low in smaller:
         fits = (1 << len(candidates)) - 1
         for a in _iter_bits(low ^ 1):  # the empty mask of ``A`` constrains nothing
             fits &= closed[a]
-        found.extend(low | shifted[k] for k in _iter_bits(fits))
-    return tuple(found)
+        fitting.append(fits)
+    # the empty ``B`` and the one of the full mask alone fit every ``A``, so each getter
+    # picks a tuple; they share one int object per candidate
+    index = list(range(len(candidates)))
+    picks = [
+        itemgetter(*compress(index, bin(fits)[:1:-1].encode().translate(_DIGITS)))
+        for fits in fitting
+    ]
+    shifted = [family << half for family in candidates]
+    families = tuple(low | high for low, pick in zip(smaller, picks) for high in pick(shifted))
+    return families, candidates, fitting, picks
+
+
+@memo(CACHE_ENTRIES)
+def _union_closed(m: int) -> tuple[int, ...]:
+    """The supports over ``m`` branches as bitsets over the masks, in generation order.
+
+    Bit ``s`` of a family is set when mask ``s`` is in it.  Each family is
+    a support over ``m - 1`` branches joined to a candidate that fits it
+    (:func:`_extensions`), so each comes exactly once.
+    """
+    return _extensions(m)[0] if m else (1,)
 
 
 @memo(CACHE_ENTRIES)

@@ -39,7 +39,14 @@ from semistar import (
     smstar_polynomial,
 )
 from semistar import engine
-from semistar.spectrum import Support, branch_subtree, enumerate_supports, support_table
+from semistar.posets import _iter_bits
+from semistar.spectrum import (
+    Support,
+    _union_closed,
+    branch_subtree,
+    enumerate_supports,
+    support_table,
+)
 
 
 _FACTORS = {}  # (branch tree, component, domain index) -> (polynomial in n, value at omega)
@@ -245,6 +252,47 @@ def test_tables_count_every_support_once():
     closing_shapes = {table.shapes[s] for row in closing_rows for s in row}
     assert (len(table.shapes), len(closing_shapes)) == (38, 37)
     assert all(shape.size for shape in closing_shapes)
+
+
+def _reference_table(m):
+    """The rows of the shape table as it was built from whole families, one cell at a time.
+
+    Each family is masked by the branch, its masks linked (the branch bit
+    taken out), sorted by size, larger first, then value, and read as the
+    poset in which a mask lies below the masks it contains.  Gives the
+    families, the closing bytes and per row the shape poset of each branch.
+    """
+    families = _union_closed(m)
+    full = (1 << m) - 1
+    rows = []
+    for family in families:
+        row = []
+        for b in range(m):
+            low = (1 << b) - 1
+            link = [s & low | s >> 1 & ~low for s in _iter_bits(family) if s >> b & 1]
+            masks = sorted(link, key=lambda s: (-s.bit_count(), s))
+            up = [sum(1 << j for j, c in enumerate(masks) if a & c == c) for a in masks]
+            row.append(Poset(up))
+        rows.append(tuple(row))
+    return families, bytes(family >> full & 1 for family in families), rows
+
+
+def test_tables_match_the_reference_cell_by_cell():
+    for m in range(5):
+        table = support_table(m)
+        families, closing, rows = _reference_table(m)
+        assert table.families == families
+        assert table.closing == closing
+        cells = [
+            tuple(table.shapes[column[k]] for column in table.columns)
+            for k in range(len(table.families))
+        ]
+        assert cells == rows
+        # the shapes are distinct, each is some cell's, and they are numbered as they first
+        # occur branch by branch, row by row
+        assert len(set(table.shapes)) == len(table.shapes)
+        assert {s for column in table.columns for s in column} == set(range(len(table.shapes)))
+        assert table.shapes == tuple(dict.fromkeys(row[b] for b in range(m) for row in rows))
 
 
 def test_tables_and_supports_share_the_branch_limit():
