@@ -10,23 +10,24 @@ Each memo declares its bound at the decorator and drops the least recently
 used entry past it.  The bound fits what the memo holds: one entry per
 component shape for the per-shape values (:data:`SHAPE_ENTRIES`), a few
 dozen for materialized ordered sets, which hold up to ``max_poset``
-elements each (:data:`POSET_ENTRIES`), a few hundred for support sums,
-one integer each (:data:`SUM_ENTRIES`), sixteen for finished counting
+elements each (:data:`POSET_ENTRIES`), sixteen for finished counting
 polynomials, up to 10 MB each (:data:`POLY_ENTRIES`), a hundred or so
 for the branch map lists, covers and restrictions that ordered sets share
 (:data:`MAP_ENTRIES`), and :data:`CACHE_ENTRIES` for the small values kept
-per tree, per pair of posets or per branch count, and for the command
-line's parsers (one per command) and validated trees (one per tree text).
+per tree, per set of sibling branches (support sums, one integer each), per
+pair of posets or per branch count, and for the command line's parsers (one
+per command) and validated trees (one per tree text).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, update_wrapper
 
-#: The bound of a memo of small values, one per tree, tree text, command or
-#: pair of posets, and of the tables kept per branch count, which hold one
-#: entry per count up to the branch limit (by tracemalloc, the support table
-#: of four branches is 48 kB and its pair table 0.4 MB more).
+#: The bound of a memo of small values, one per tree, tree text, command, set
+#: of sibling branches or pair of posets, and of the tables kept per branch
+#: count, which hold one entry per count up to the branch limit (by
+#: tracemalloc, the support table of four branches is 48 kB and its pair
+#: table 0.4 MB more).
 CACHE_ENTRIES = 2048
 
 #: The bound of a per-shape memo, with no eviction over five branches: the
@@ -46,11 +47,6 @@ POSET_ENTRIES = 64
 #: at the default 2 000, and its covers about as much (0.37 MB for 1 953
 #: maps), so these memos hold at most about 100 MB.
 MAP_ENTRIES = 128
-
-#: The bound of the support-sum memo, one integer per set of sibling branches
-#: (the root's children, or an internal node's, whose sums size its record)
-#: and closing flag.  One pass of the ``counts`` workload holds 48.
-SUM_ENTRIES = 256
 
 #: The bound of the memo of finished counting polynomials, one per tree,
 #: count and set of variables.  The largest is 10 MB by tracemalloc: flat

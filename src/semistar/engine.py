@@ -21,17 +21,18 @@ A count is a sum over supports of products of per-branch factors: the maps
 of a component ``C`` into base plus an ``n``-chain split at the chain, into
 the sum over down-sets ``D`` of ``|hom(D, base)|`` times Stanley's order
 polynomial of ``C - D`` at ``n``.  Each factor is kept as integers ``e_k``
-in the binomial basis, ``sum(e_k * C(n, k))``, so a count takes integers
-only, a polynomial is one ``MultiPoly.from_binomial`` (a symbolic epsilon
-enters affinely, see :func:`smstar_polynomial`), and the weight chain is
-never built.  The sum runs over one shape table per branch count
-(``spectrum.support_table``: 2 480 supports but 38 shapes at four
+in the binomial basis, ``sum(e_k * C(n, k))``; the weight chain is never
+built.  Counts and polynomials are one sum (:func:`_binomial_sum`): a
+branch at its label is folded in as integers, a branch with a symbolic
+weight or epsilon (affine, see :func:`smstar_polynomial`) is kept in the
+binomial basis, and a count is the sum with none kept, its constant term
+(:func:`_support_sum`).  The sum runs over one shape table per branch
+count (``spectrum.support_table``: 2 480 supports but 38 shapes at four
 branches, read from the support bitsets with no ``Support`` built), each
 branch's factor taken once per shape and memoized on its record
-(:class:`_Record`, :func:`_support_sum`).  The tests check the counts
-against element enumeration (``semistar_element_counts``),
-materialization (``semistar_poset``), the brute-force oracle and
-interpolation.
+(:class:`_Record`).  The tests check the counts against element
+enumeration (``semistar_element_counts``), materialization
+(``semistar_poset``), the brute-force oracle and interpolation.
 
 The ordered set keeps the same product structure and is built from its
 covers.  The operations of one support form a block, the product of the
@@ -64,7 +65,6 @@ from ._memo import (
     POLY_ENTRIES,
     POSET_ENTRIES,
     SHAPE_ENTRIES,
-    SUM_ENTRIES,
     memo,
 )
 from .errors import EnumerationLimitError
@@ -340,6 +340,8 @@ def tildhom_count(
     leaf, whose flags are the bottom ``epsilon`` chain elements,
     ``h(n) + (epsilon - 1) h(n - 1)``, ``h`` the order polynomial of the rest.
     """
+    if d_index is not None and not 0 <= d_index < component.size:
+        raise ValueError(f"domain index {d_index} out of range for {component.size} elements")
     return _tildhom(component, d_index, _single_branch(branch, limits)[2], limits)
 
 
@@ -383,26 +385,14 @@ def _term(record: _Record, component: Poset, closing: bool, limits: Limits):
     return _tildhom(component, 0 if closing else None, record, limits)
 
 
-@memo(SUM_ENTRIES)
+@memo(CACHE_ENTRIES)
 def _support_sum(branches: tuple, closing: bool, limits: Limits) -> int:
-    """Sum over supports of the product of the branch factors, each branch at its label.
+    """The count: the constant term of :func:`_binomial_sum` with no branch symbolic.
 
-    Each branch takes its factor once per shape of the support table and is
-    folded into the row products one column at a time.  ``closing`` keeps
-    the rows whose support contains the domain and sends the domain to
-    ring-closing elements.  Memoized per set of sibling branches.
+    ``closing`` keeps the rows whose support contains the domain and sends
+    the domain to ring-closing elements.  One integer per set of siblings.
     """
-    table = support_table(len(branches), max_branches=limits.max_branches)
-    return sum(_fold(table, zip(branches, table.columns), closing, limits))
-
-
-def _fold(table, pairs, closing: bool, limits: Limits) -> list[int]:
-    """The row products of ``table`` over ``(branch, column)`` pairs, each branch at its label."""
-    acc = list(table.closing) if closing else [1] * len(table.closing)
-    for (_, omega, record), column in pairs:
-        values = [binomial_value(_term(record, p, closing, limits), omega) for p in table.shapes]
-        acc = [a * values[s] for a, s in zip(acc, column)]
-    return acc
+    return _binomial_sum(branches, closing, {}, limits)[()]
 
 
 def count_semistar(t: SpectrumTree, limits: Limits = DEFAULT_LIMITS) -> int:
@@ -706,27 +696,33 @@ def _polynomial(
 def _binomial_sum(branches: tuple, closing: bool, symbolic: Mapping, limits: Limits) -> dict:
     """The support sum with the branches in ``symbolic`` kept as polynomials, in the binomial basis.
 
-    ``symbolic`` maps a branch id to ``(weight, records)``: whether its
-    weight stays a variable, and its records at each epsilon (1 or 2) of its
-    symbolic leaves, in product order (its own record if it has none).  The
-    answer is ``{(k_1, ..., k_s): c}`` for the sum of ``c * C(x_1, k_1) ...
-    C(x_s, k_s)``, the variables of each symbolic branch in branch order,
-    its weight before its epsilons.  The other branches are folded into the
-    row products as in :func:`_support_sum`; the rows are then grouped by
-    the shape ids of the symbolic branches and contracted, the last branch
-    folded into each prefix of shape ids first, so a prefix's partial sum is
-    expanded once for all the rows below it.
+    The engine's one sum over the support table; a count is its constant
+    term (:func:`_support_sum`).  ``symbolic`` maps a branch id to
+    ``(weight, records)``: whether its weight stays a variable, and its
+    records at each epsilon (1 or 2) of its symbolic leaves, in product
+    order (its own record if it has none).  The answer is ``{(k_1, ...,
+    k_s): c}`` for the sum of ``c * C(x_1, k_1) ... C(x_s, k_s)``, the
+    variables of each symbolic branch in branch order, its weight before its
+    epsilons.  In branch order, each branch takes its factor once per shape:
+    a fixed branch is folded into the row products at its label, a symbolic
+    one is kept.  The rows are then grouped by the shape ids of the kept
+    branches and contracted, the last branch folded into each prefix of
+    shape ids first, so a prefix's partial sum is expanded once for all the
+    rows below it.
     """
     table = support_table(len(branches), max_branches=limits.max_branches)
-    pairs = list(zip(branches, table.columns))
-    acc = _fold(table, [p for p in pairs if p[0][0] not in symbolic], closing, limits)
+    acc = list(table.closing) if closing else [1] * len(table.closing)
     kept = []
-    for (child, omega, _), column in pairs:
+    for (child, omega, record), column in zip(branches, table.columns):
         if child in symbolic:
             weight, records = symbolic[child]
             at = None if weight else omega
             factors = ([_term(r, p, closing, limits) for r in records] for p in table.shapes)
             kept.append((column, [_affine(f, at) for f in factors]))
+        else:
+            terms = (_term(record, p, closing, limits) for p in table.shapes)
+            values = [binomial_value(f, omega) for f in terms]
+            acc = [a * values[s] for a, s in zip(acc, column)]
     if not kept:
         return {(): sum(acc)}
     groups: dict[tuple[int, ...], int] = {}

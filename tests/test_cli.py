@@ -204,6 +204,21 @@ def test_bound_exceeded_exit_2(tmp_path, capsys):
     assert json.loads(out)["semistar"] == 2480  # supports over four branches
 
 
+def test_count_and_poly_exceed_a_bound_with_the_same_message(tmp_path, capsys):
+    nodes = [{"id": "0", "parent": None, "omega": 1}] + [
+        {"id": node, "parent": "0", "omega": 1} for node in ("P", "Q")
+    ]
+    for parent, leaves in (("P", ("M1", "M2")), ("Q", ("N1", "N2"))):
+        nodes += [{"id": leaf, "parent": parent, "omega": 2, "epsilon": 1} for leaf in leaves]
+    path = tmp_path / "twin.json"
+    path.write_text(json.dumps({"nodes": nodes}))
+    # 'P', the first branch, whether or not it is symbolic
+    line = "bound exceeded: semistar poset of quotient 'P' would hold 30 elements, limit is 10\n"
+    for command, *options in (["count"], ["poly", "--semistar", "--var", "P"],
+                              ["poly", "--smstar", "--var", "P"]):
+        assert run(capsys, command, str(path), *options, "--max-poset", "10") == (2, "", line)
+
+
 def test_max_maps_env(fex_path):
     # a fresh process, so the env var really drives the default
     import subprocess

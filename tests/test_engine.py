@@ -456,10 +456,36 @@ _CLASHING = [("0", None, 1), ("eps_M", "0", 2, 1), ("M", "0", 2, 1)]
      "epsilon is symbolic only at leaves, 'P' is not one"),
     (lambda: tildhom_count(chain(2), 1, valuation(2, 1)),
      "the designated domain element must be the component minimum"),
+    (lambda: tildhom_count(Poset(()), 0, valuation(2, 1)),
+     r"^domain index 0 out of range for 0 elements$"),
+    (lambda: tildhom_count(chain(2), 5, valuation(2, 1)),
+     r"^domain index 5 out of range for 2 elements$"),
+    (lambda: tildhom_count(chain(2), -1, valuation(2, 1)),
+     r"^domain index -1 out of range for 2 elements$"),
 ])
 def test_polynomial_and_tildhom_arguments_are_checked(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+#: Two internal branches, each over two leaves: both quotients hold 30 semistar operations.
+TWIN_QUOTIENTS = [("0", None, 1), ("P", "0", 1), ("Q", "0", 1)] + [
+    (leaf, parent, 2, 1) for parent, leaf in [("P", "M1"), ("P", "M2"), ("Q", "N1"), ("Q", "N2")]
+]
+
+
+def test_counts_and_polynomials_name_the_same_quotient_past_a_limit():
+    # the branches are read in branch order whether symbolic or not: 'P' fails first
+    t, limits = build_tree(TWIN_QUOTIENTS), Limits(max_poset=10)
+    message = "^semistar poset of quotient 'P' would hold 30 elements, limit is 10$"
+    for call in (
+        lambda: count_report(t, limits),
+        lambda: semistar_polynomial(t, ["P"], limits),
+        lambda: smstar_polynomial(t, ["P"], limits=limits),
+        lambda: smstar_polynomial(t, ["Q"], limits=limits),
+    ):
+        with pytest.raises(EnumerationLimitError, match=message):
+            call()
 
 
 def test_flagged_poset_exports():

@@ -121,13 +121,18 @@ def test_every_memo_is_bounded_after_the_counts_workload(tmp_path):
         "POSET_ENTRIES": {
             "engine._semistar_poset", "engine._base", "engine._fstar", "engine._block_labels"
         },
-        "SUM_ENTRIES": {"engine._support_sum"},
         "POLY_ENTRIES": {"engine._polynomial"},
         "MAP_ENTRIES": {"engine._maps", "engine._map_covers", "engine._restrictions"},
     }
     for bound, names in declared.items():
         assert {name for name, b in bounds.items() if b == bound} == names, bound
     assert _memo.SHAPE_ENTRIES >= 2 * 2215 and _memo.POSET_ENTRIES < _memo.CACHE_ENTRIES
+
+
+def test_every_bound_bounds_a_memo():
+    constants = {name for name in vars(_memo) if name.endswith("_ENTRIES")}
+    assert "CACHE_ENTRIES" in constants
+    assert constants == set(_memo_bounds().values())
 
 
 def test_a_memoized_sum_cannot_be_changed_by_its_caller():
