@@ -22,8 +22,11 @@ of a component ``C`` into base plus an ``n``-chain split at the chain, into
 the sum over down-sets ``D`` of ``|hom(D, base)|`` times Stanley's order
 polynomial of ``C - D`` at ``n``.  Each factor is kept as integers ``e_k``
 in the binomial basis, ``sum(e_k * C(n, k))``; the weight chain is never
-built.  Counts and polynomials are one sum (:func:`_binomial_sum`): a
-branch at its label is folded in as integers, a branch with a symbolic
+built.  A leaf's factors come from the order polynomials of the shapes,
+each counted on its core (``posets._chain_coeffs``); the domain-closing one
+is read off the shape's own.  Counts and polynomials are one sum
+(:func:`_binomial_sum`): a branch at its label is folded in as integers,
+its factors evaluated against one row of ``C(omega, k)``, a branch with a symbolic
 weight or epsilon (affine, see :func:`smstar_polynomial`) is kept in the
 binomial basis, and a count is the sum with none kept, its constant term
 (:func:`_support_sum`).  The sum runs over one shape table per branch
@@ -56,7 +59,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import product as cartesian
 from math import prod
-from operator import sub
+from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from ._memo import (
@@ -68,7 +71,7 @@ from ._memo import (
     memo,
 )
 from .errors import EnumerationLimitError
-from .polynomials import MultiPoly, binomial_value
+from .polynomials import MultiPoly, binomial_row
 from .posets import (
     DEFAULT_MAX_MAPS,
     OrderMap,
@@ -79,6 +82,7 @@ from .posets import (
     ordinal_sum,
     product,
     subposet,
+    _chain_coeffs,
     _CoverPoset,
     _iter_bits,
 )
@@ -339,6 +343,9 @@ def tildhom_count(
     sum over the flags in the base of the maps into up-set plus chain; for a
     leaf, whose flags are the bottom ``epsilon`` chain elements,
     ``h(n) + (epsilon - 1) h(n - 1)``, ``h`` the order polynomial of the rest.
+    The component is the rest with a point below, so its order polynomial
+    ``e`` is ``sum over j <= n of h(j)``: ``e_k = h_k + h_(k-1)``, and ``h``
+    is read off ``e`` with no second enumeration (see ``posets._chain_coeffs``).
     """
     if d_index is not None and not 0 <= d_index < component.size:
         raise ValueError(f"domain index {d_index} out of range for {component.size} elements")
@@ -354,10 +361,12 @@ def _tildhom(component: Poset, d_index: int | None, record: _Record, limits: Lim
         return hom_coefficients(component, base, max_steps=limits.max_maps)
     if component.up_mask(d_index) != (1 << component.size) - 1:
         raise ValueError("the designated domain element must be the component minimum")
+    if record.node is None:  # the rest's order polynomial, off the component's: e_k = h_k + h_k-1
+        h = [0] if component.size > 1 else [1]
+        for e in _chain_coeffs(component)[1:-1]:
+            h.append(e - h[-1])
+        return tuple(h) if record.flag_count == 1 else tuple(map(add, h, _shifted(h)))
     rest = subposet(component, (i for i in range(component.size) if i != d_index))
-    if record.node is None:
-        h = hom_coefficients(rest, _base(record, limits)[0])
-        return h if record.flag_count == 1 else tuple(a + b for a, b in zip(h, _shifted(h)))
     if not rest.size:
         return (record.flag_count,)
     base, flags = _base(record, limits)
@@ -712,16 +721,17 @@ def _binomial_sum(branches: tuple, closing: bool, symbolic: Mapping, limits: Lim
     """
     table = support_table(len(branches), max_branches=limits.max_branches)
     acc = list(table.closing) if closing else [1] * len(table.closing)
+    top = max((p.size for p in table.shapes), default=0)  # no factor has more entries than |p| + 1
     kept = []
     for (child, omega, record), column in zip(branches, table.columns):
+        weight, records = symbolic.get(child, (False, (record,)))
+        # a factor at the label is its dot product with the branch's one row of C(omega, k)
+        row = None if weight else binomial_row(omega, top)
+        factors = [[_term(r, p, closing, limits) for r in records] for p in table.shapes]
         if child in symbolic:
-            weight, records = symbolic[child]
-            at = None if weight else omega
-            factors = ([_term(r, p, closing, limits) for r in records] for p in table.shapes)
-            kept.append((column, [_affine(f, at) for f in factors]))
+            kept.append((column, [_affine(f, row) for f in factors]))
         else:
-            terms = (_term(record, p, closing, limits) for p in table.shapes)
-            values = [binomial_value(f, omega) for f in terms]
+            values = [sum(map(mul, f, row)) for (f,) in factors]
             acc = [a * values[s] for a, s in zip(acc, column)]
     if not kept:
         return {(): sum(acc)}
@@ -741,22 +751,23 @@ def _binomial_sum(branches: tuple, closing: bool, symbolic: Mapping, limits: Lim
     return sums.get((), {})
 
 
-def _affine(factors: list, omega: int | None) -> list[tuple[tuple[int, ...], int]]:
+def _affine(factors: list, row: list[int] | None) -> list[tuple[tuple[int, ...], int]]:
     """One shape's factor of a symbolic branch, as pairs ``(indices, c)``, nonzero ``c`` only.
 
     ``factors`` holds the factor in C(n, k) of each of the branch's records,
     ``2 ** j`` for ``j`` symbolic epsilons.  The weight's index comes first,
-    if it is symbolic (``omega`` is ``None``); otherwise the factor is taken
-    at ``omega``.  Then come the indices of C(eps, 0) and C(eps, 1), each
-    record weighed by :data:`_AFFINE`.
+    if it is symbolic (``row`` is ``None``); otherwise the factor is taken
+    at the weight, its dot product with ``row``, the binomials C(omega, k).
+    Then come the indices of C(eps, 0) and C(eps, 1), each record weighed
+    by :data:`_AFFINE`.
     """
     j = len(factors).bit_length() - 1
     total: dict[tuple[int, ...], int] = {}
     for values, f in zip(cartesian((1, 2), repeat=j), factors):
-        if omega is None:
+        if row is None:
             parts = [((k,), c) for k, c in enumerate(f)]
         else:
-            parts = [((), binomial_value(f, omega))]
+            parts = [((), sum(map(mul, f, row)))]
         for ks in cartesian((0, 1), repeat=j):
             w = prod(_AFFINE[v][k] for v, k in zip(values, ks))
             for key, c in parts:

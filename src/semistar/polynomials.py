@@ -11,7 +11,8 @@ mathematically equal.
 Counting polynomials have integer coefficients in the binomial basis: a
 polynomial in ``n`` taking integer values at the integers is a sum of
 ``e_k * C(n, k)`` with integers ``e_k``.  The counting code keeps them as
-those integer tuples, evaluates them with :func:`binomial_value`, and turns
+those integer tuples, evaluates them as dot products with one row of
+binomials (:func:`binomial_row`, :func:`binomial_value`), and turns
 an answer into a ``MultiPoly`` once, through :meth:`MultiPoly.from_binomial`.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, product as cartesian
 from math import comb, factorial
+from operator import mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -339,13 +341,21 @@ def _falling_rows(top: int) -> list[list[tuple[int, int]]]:
     return rows
 
 
+def binomial_row(n: int, top: int) -> list[int]:
+    """``C(n, 0), ..., C(n, top)`` for an integer ``n >= 0``, each from the one before."""
+    row = [1]
+    for k in range(top):
+        row.append(row[-1] * (n - k) // (k + 1))
+    return row
+
+
 def binomial_value(coefficients: Sequence[int], n: int) -> int:
-    """The sum of ``coefficients[k] * C(n, k)``, for an integer ``n >= 0``."""
-    total, binom = 0, 1
-    for k, c in enumerate(coefficients):
-        total += c * binom
-        binom = binom * (n - k) // (k + 1)
-    return total
+    """The sum of ``coefficients[k] * C(n, k)``, for an integer ``n >= 0``: a dot product.
+
+    Values of many tuples at one ``n`` take their dot products with one
+    :func:`binomial_row`, as the engine does per branch.
+    """
+    return sum(map(mul, coefficients, binomial_row(n, len(coefficients) - 1)))
 
 
 def _multiset_coefficients(k: int) -> tuple[int, ...]:

@@ -13,7 +13,8 @@ Counting of maps P -> Q works in three regimes:
 
 - a chain target: the order polynomial of P evaluated at the chain length
   (its integer coefficients in the binomial basis are closed-form for a
-  chain P, else from a dynamic program over the down-sets of P);
+  chain P, else from a dynamic program over the down-sets of the core of P,
+  P less its elements comparable to all others);
 - a chain stacked on top of a base, Q = Q0 ⊕ chain(k): the hom coefficients
   of (P, Q0), a sum over the down-sets of P, evaluated at k;
 - any other target: exhaustive backtracking, bounded by ``max_steps``.
@@ -25,7 +26,8 @@ k-chain), so no fraction arises; ``hom_polynomial`` converts at the end.
 
 The one size bound, ``DEFAULT_MAX_SIZE`` elements, is checked where down-sets
 are enumerated (``_down_set_masks``), since a poset may have 2^size of them;
-chains are exempt, as the down-sets of a chain of ``N`` are its ``N + 1`` prefixes.
+chains are exempt, as the down-sets of a chain of ``N`` are its ``N + 1`` prefixes,
+and so are the peeled elements of a chain polynomial, whose core alone is enumerated.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Iterable, Sequence
 
 from ._memo import CACHE_ENTRIES, SHAPE_ENTRIES, memo
 from .errors import EnumerationLimitError
-from .polynomials import MultiPoly, _multiset_coefficients, binomial_value
+from .polynomials import MultiPoly, _multiset_coefficients, binomial_row, binomial_value
 
 #: The most elements of a poset, other than a chain, whose down-sets are enumerated.
 DEFAULT_MAX_SIZE = 20
@@ -607,26 +609,45 @@ def _chain_coeffs(p: Poset) -> tuple[int, ...]:
     is its value at ``p``.  The zeta transform adds the elements in a
     linear extension: a down-set ``D`` takes the value of ``D - x``
     whenever ``x`` is maximal in ``D``.
+
+    Only the core is enumerated: ``p`` less its elements comparable to all
+    others.  Around such an ``x``, ``p`` is an ordinal sum ``A ⊕ x ⊕ B``.
+    For nonempty ``P`` and ``Q``, a map of ``P ⊕ Q`` onto a k-chain maps
+    ``P`` onto its bottom ``i`` and ``Q`` onto its top ``j`` values, with
+    ``i + j = k``, or ``k + 1`` when the two meet in one value.  So with
+    ``E(t) = sum of e[k] t^k``, E(P ⊕ Q) = E(P) E(Q) (1 + t) / t and
+    E(x) = t, which makes E(p) = (1 + t) E(p - x) while ``p - x`` is not
+    empty; at the bottom, Omega(p, n) = sum over ``j <= n`` of
+    Omega(p - x, j) (Stanley, EC1 3.12).  With ``a`` elements peeled,
+    ``e[k](p)`` is the sum over ``j`` of ``C(a, j) e[k - j](core)``.  The
+    size bound of :func:`_down_set_masks` applies to the core.
     """
     if p.size == 0 or p.is_chain():
         return _multiset_coefficients(p.size)
-    downs = _down_set_masks(p)  # ascending: the empty set first, all of ``p`` last
+    full = (1 << p.size) - 1
+    peeled = sum(1 << x for x in range(p.size) if p.up_mask(x) | p.down_mask(x) == full)
+    core = _sub_from_mask(p, full ^ peeled) if peeled else p  # not empty: ``p`` is no chain
+    downs = _down_set_masks(core)  # ascending: the empty set first, all of ``core`` last
     index = {d: i for i, d in enumerate(downs)}
     steps = [
         (i, index[d ^ 1 << x])
-        for x in _linear_extension(p)
+        for x in _linear_extension(core)
         for i, d in enumerate(downs)
-        if p.up_mask(x) & d == 1 << x
+        if core.up_mask(x) & d == 1 << x
     ]
     c = [1] + [0] * (len(downs) - 1)
     coeffs = [0]
-    for _ in range(p.size):
+    for _ in range(core.size):
         h = list(c)
         for i, j in steps:
             h[i] += h[j]
         c = [a - b for a, b in zip(h, c)]
         coeffs.append(c[-1])
-    return tuple(coeffs)
+    total, a = [0] * (p.size + 1), peeled.bit_count()
+    for j, b in enumerate(binomial_row(a, a)):
+        for k, e in enumerate(coeffs):
+            total[j + k] += b * e
+    return tuple(total)
 
 
 def _peel_chain_tail(q: Poset) -> tuple[Poset, int]:
@@ -642,23 +663,27 @@ def _peel_chain_tail(q: Poset) -> tuple[Poset, int]:
 
 
 def _backtrack_count(p: Poset, q: Poset, max_steps: int | None) -> int:
-    """Exhaustive count for irregular targets (never materializes the maps)."""
+    """Exhaustive count for irregular targets (never materializes the maps).
+
+    One step per position reached; at the last position of the linear
+    extension every candidate completes one map, so they are counted at once.
+    """
     ext = _linear_extension(p)
     preds = [[y for y in ext[:k] if p.lt(y, x)] for k, x in enumerate(ext)]
     full = (1 << q.size) - 1
     image = {}
-    steps = 0
+    steps, last = 0, len(ext) - 1
 
     def count(k: int) -> int:
         nonlocal steps
-        if k == len(ext):
-            return 1
         steps += 1
         if max_steps is not None and steps > max_steps:
             raise EnumerationLimitError(f"map counting exceeded {max_steps} steps")
         candidates = full
         for y in preds[k]:
             candidates &= q.up_mask(image[y])
+        if k == last:
+            return candidates.bit_count()
         total = 0
         for value in _iter_bits(candidates):
             image[ext[k]] = value
@@ -666,7 +691,7 @@ def _backtrack_count(p: Poset, q: Poset, max_steps: int | None) -> int:
         image.pop(ext[k], None)
         return total
 
-    return count(0)
+    return count(0) if ext else 1
 
 
 @memo(CACHE_ENTRIES)
@@ -701,8 +726,13 @@ def hom_coefficients(p: Poset, q: Poset, *, max_steps: int | None = None) -> tup
     H(n) = sum over down-sets D of p of |hom(D, q)| * (chain polynomial of p \\ D),
     so the coefficient vectors of the chain polynomials add up with integer
     weights.  There are ``|p| + 1`` entries; H has degree exactly |p| for
-    nonempty p.  A chain ``p`` of any length is counted; any other ``p`` of
-    more than ``DEFAULT_MAX_SIZE`` elements raises :class:`EnumerationLimitError`.
+    nonempty p.  With ``q`` empty this is the chain polynomial of ``p``
+    alone, counted on its core (:func:`_chain_coeffs`): an element comparable
+    to all others is peeled, as ``p`` is an ordinal sum around it, whose
+    coefficients are those of the rest times ``(1 + t)`` (Stanley, EC1 3.12).  A chain
+    ``p`` of any length is counted; past ``DEFAULT_MAX_SIZE`` elements any
+    other ``p`` raises :class:`EnumerationLimitError`, or with ``q`` empty
+    any ``p`` whose core is that large.
     """
     if not q.size:  # every map lands in the chain
         return _chain_coeffs(p)

@@ -668,6 +668,7 @@ def _link(component: int, b: int) -> int:
 _DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
+@memo(CACHE_ENTRIES)
 def _extensions(m: int) -> tuple[tuple[int, ...], tuple[int, ...], list[int], list[itemgetter]]:
     """The supports over ``m`` branches, each a support ``A`` over ``m - 1`` joined to a ``B``.
 
@@ -721,13 +722,13 @@ def _extensions(m: int) -> tuple[tuple[int, ...], tuple[int, ...], list[int], li
     return families, candidates, fitting, picks
 
 
-@memo(CACHE_ENTRIES)
 def _union_closed(m: int) -> tuple[int, ...]:
     """The supports over ``m`` branches as bitsets over the masks, in generation order.
 
     Bit ``s`` of a family is set when mask ``s`` is in it.  Each family is
     a support over ``m - 1`` branches joined to a candidate that fits it
-    (:func:`_extensions`), so each comes exactly once.
+    (:func:`_extensions`), so each comes exactly once.  The one memoized
+    step per ``m`` holds the tuple, which :class:`SupportTable` shares.
     """
     return _extensions(m)[0] if m else (1,)
 

@@ -2,7 +2,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product as cartesian
-from math import prod
+from math import factorial, prod
 from unittest import mock
 
 import pytest
@@ -37,7 +37,8 @@ from semistar import (
 )
 from semistar import engine
 from semistar.engine import DEFAULT_LIMITS
-from semistar.spectrum import SpectrumTree, Support, branch_subtree
+from semistar.posets import hom_coefficients
+from semistar.spectrum import SpectrumTree, Support, branch_subtree, support_table
 
 
 def fex_polynomial():
@@ -502,6 +503,33 @@ def test_degree_claims():
         assert semistar_polynomial(t, ids).degree() == n * 2 ** (n - 1)
     assert smstar_polynomial(valuation(1, 1), ["M"]).degree() == 0  # 1 * (2^0 - 1)
     assert smstar_polynomial(h_local([1, 1]), ["M1", "M2"]).degree() == 2  # 2 * (2^1 - 1)
+
+
+@pytest.mark.parametrize(
+    "m, extensions, lead", [(2, 1, Fraction(1, 4)), (3, 2, Fraction(1, 1728)),
+                            (4, 48, Fraction(1, 497_871_360_000))]
+)
+def test_the_h_local_polynomial_in_all_the_weights(m, extensions, lead):
+    # a leaf's factor is the order polynomial of its component, the largest the Boolean
+    # lattice B_(m-1), whose leading coefficient is e(B_(m-1)) / (2^(m-1))!, e its
+    # number of linear extensions
+    ids = [f"M{i + 1}" for i in range(m)]
+    poly = semistar_polynomial(h_local([1] * m), ids)
+    assert [poly.degree_in(v) for v in ids] == [2 ** (m - 1)] * m
+    assert poly.coefficient(dict.fromkeys(ids, 2 ** (m - 1))) == lead
+    assert lead == Fraction(extensions, factorial(2 ** (m - 1))) ** m
+    for order in ([ids[1], ids[0], *ids[2:]], ids[1:] + ids[:1]):  # they generate every order
+        assert poly.rename_variables(dict(zip(ids, order))) == poly
+
+
+def test_leaf_closing_factors_are_the_order_polynomials_of_the_rest():
+    # read off the shape's own coefficients, not counted again on the shape less its domain
+    for m in range(1, 5):
+        for shape in (p for p in support_table(m).shapes if p.size):
+            h = hom_coefficients(subposet(shape, range(1, shape.size)), Poset(()))
+            assert tildhom_count(shape, 0, h_local([3])) == h
+            shifted = tuple(a + b for a, b in zip(h, engine._shifted(h)))
+            assert tildhom_count(shape, 0, h_local([3], [2])) == shifted
 
 
 def test_symmetry_of_leaf_polynomials():

@@ -1,13 +1,15 @@
 import random
 import subprocess
 import sys
+import time
+from functools import reduce
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ROOT, fresh_env, random_poset, run_fresh
+from conftest import ROOT, final_example, fresh_env, random_poset, run_fresh
 from semistar import (
     EnumerationLimitError,
     MultiPoly,
@@ -24,6 +26,7 @@ from semistar import (
     interpolate,
     ordinal_sum,
     product,
+    semistar_poset,
     subposet,
 )
 from semistar import cache_info, clear_caches
@@ -244,6 +247,15 @@ def test_count_hom_step_limit_cold_and_warm():
         hom_polynomial(p, q, max_steps=2)
 
 
+def test_backtracking_counts_the_last_position_in_one_step():
+    # a 2-chain into a materialized set: one step at the bottom, one per value it takes
+    q = semistar_poset(final_example(2, 2)).poset
+    pairs = sum(q.up_mask(i).bit_count() for i in range(q.size))
+    assert _backtrack_count(chain(2), q, q.size + 1) == pairs == 7506
+    with pytest.raises(EnumerationLimitError, match=f"^map counting exceeded {q.size} steps$"):
+        _backtrack_count(chain(2), q, q.size)
+
+
 def test_hom_polynomial_known():
     h2 = hom_polynomial(chain(2), chain(0))
     assert h2 == binomial_order_poly(2)
@@ -285,6 +297,53 @@ def test_chain_coefficients_count_surjections(p):
     for s, coefficient in enumerate(e):
         onto = sum(1 for g in enum_hom(p, chain(s)) if len(set(g.image)) == s)
         assert coefficient == onto
+
+
+@given(posets, posets, st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_chain_coefficients_peel_the_elements_comparable_to_all(p, r, below, between, above):
+    # each chain element is comparable to all others, at an end of q or between p and r
+    q = reduce(ordinal_sum, (chain(below), p, chain(between), r, chain(above)))
+    e = _chain_coeffs(q)
+    assert len(e) == q.size + 1
+    # a map into an n-chain is a chain of n + 1 down-sets from the empty set to all of q
+    downs = down_sets(q)
+    chains = [int(not d) for d in downs]
+    for n in range(q.size + 1):  # as many values as pin a polynomial of degree |q|
+        assert binomial_value(e, n) == chains[-1]
+        chains = [sum(c for low, c in zip(downs, chains) if low <= d) for d in downs]
+
+
+def test_a_long_run_below_a_small_core_is_exact_and_fast():
+    start = time.process_time()
+    e = _chain_coeffs(ordinal_sum(chain(2000), antichain(2)))
+    assert time.process_time() - start < 1
+    # e(core) = (0, 1, 2), times (1 + t)^2000
+    assert e == (0, 1) + tuple(comb(2000, k - 1) + 2 * comb(2000, k - 2) for k in range(2, 2003))
+    for n in range(6):  # the top of the chain at t, each of the two points in t..n
+        expected = sum(comb(1998 + t, t - 1) * (n - t + 1) ** 2 for t in range(1, n + 1))
+        assert binomial_value(e, n) == expected
+
+
+def test_the_size_bound_applies_to_the_core():
+    p = ordinal_sum(ordinal_sum(chain(15), antichain(3)), chain(5))  # 23 elements, raised before
+    e = _chain_coeffs(p)
+    for n in range(6):  # the bottom run up to l, the top run from h, the 3 points in l..h
+        assert binomial_value(e, n) == sum(
+            comb(l + 13, 14) * comb(n - h + 4, 4) * (h - l + 1) ** 3
+            for l in range(1, n + 1) for h in range(l, n + 1)
+        )
+    p = reduce(ordinal_sum, (antichain(3), chain(15), antichain(3)))  # 21 elements, core 6
+    e = _chain_coeffs(p)
+    for n in range(6):  # the run from l to h, 3 points up to l and 3 from h
+        assert binomial_value(e, n) == sum(
+            l**3 * comb(h - l + 13, 13) * (n - h + 1) ** 3
+            for l in range(1, n + 1) for h in range(l, n + 1)
+        )
+    with pytest.raises(
+        EnumerationLimitError, match="^down-set enumeration limited to 20 elements, poset has 21$"
+    ):
+        _chain_coeffs(ordinal_sum(chain(1), antichain(21)))
 
 
 def test_chain_coefficients_of_larger_posets_match_backtracking():

@@ -32,6 +32,7 @@ from semistar import (
     MultiPoly,
     Poset,
     build_tree,
+    cache_info,
     clear_caches,
     count_semistar,
     count_smstar,
@@ -293,6 +294,18 @@ def test_tables_match_the_reference_cell_by_cell():
         assert len(set(table.shapes)) == len(table.shapes)
         assert {s for column in table.columns for s in column} == set(range(len(table.shapes)))
         assert table.shapes == tuple(dict.fromkeys(row[b] for b in range(m) for row in rows))
+
+
+def test_tables_and_the_generator_share_one_families_tuple():
+    # one generation step per branch count, whichever of the two asks for it first
+    for m in range(1, 5):
+        clear_caches()
+        families = _union_closed(m)
+        assert support_table(m).families is families
+        clear_caches()
+        table = support_table(m)
+        assert _union_closed(m) is table.families
+        assert cache_info()["spectrum._extensions"].misses == m  # one per count 1..m
 
 
 def test_tables_and_supports_share_the_branch_limit():
