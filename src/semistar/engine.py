@@ -338,10 +338,10 @@ def tildhom_count(
     Returned as integers ``e`` with the count ``sum(e[k] * C(n, k))``.  With
     no designated domain element this counts every order-preserving map into
     base plus an ``n``-chain (``(|base|, 1)`` for one point, no base built).
-    Otherwise the domain, the component's minimum, goes to a starred element
-    ``q`` and the rest into the up-set of ``q``: for an internal branch, a
-    sum over the flags in the base of the maps into up-set plus chain; for a
-    leaf, whose flags are the bottom ``epsilon`` chain elements,
+    Otherwise the domain, the component's minimum, goes to a starred element.
+    For an internal branch, whose flags lie in the base, that is the same
+    down-set sum with the domain's image masked to the flags; for a leaf,
+    whose flags are the bottom ``epsilon`` chain elements,
     ``h(n) + (epsilon - 1) h(n - 1)``, ``h`` the order polynomial of the rest.
     The component is the rest with a point below, so its order polynomial
     ``e`` is ``sum over j <= n of h(j)``: ``e_k = h_k + h_(k-1)``, and ``h``
@@ -354,30 +354,19 @@ def tildhom_count(
 
 def _tildhom(component: Poset, d_index: int | None, record: _Record, limits: Limits):
     """:func:`tildhom_count` of the branch with this record."""
-    if d_index is None:
-        if component.size == 1:
-            return (record.base_size, 1)
-        base, _ = _base(record, limits)
-        return hom_coefficients(component, base, max_steps=limits.max_maps)
-    if component.up_mask(d_index) != (1 << component.size) - 1:
+    closing = d_index is not None
+    if closing and component.up_mask(d_index) != (1 << component.size) - 1:
         raise ValueError("the designated domain element must be the component minimum")
-    if record.node is None:  # the rest's order polynomial, off the component's: e_k = h_k + h_k-1
-        h = [0] if component.size > 1 else [1]
+    if component.size == 1:  # no base built: a point goes to a flag, or to base or chain
+        return (record.flag_count,) if closing else (record.base_size, 1)
+    if closing and record.node is None:  # the rest's order polynomial: e_k = h_k + h_k-1
+        h = [0]
         for e in _chain_coeffs(component)[1:-1]:
             h.append(e - h[-1])
         return tuple(h) if record.flag_count == 1 else tuple(map(add, h, _shifted(h)))
-    rest = subposet(component, (i for i in range(component.size) if i != d_index))
-    if not rest.size:
-        return (record.flag_count,)
     base, flags = _base(record, limits)
-    if rest.size == 1:  # one point maps to an up-set U or the chain: |U| + n
-        return (sum(base.up_mask(q).bit_count() for q in flags), len(flags))
-    total = [0] * (rest.size + 1)
-    for q in sorted(flags):
-        upper = subposet(base, _iter_bits(base.up_mask(q)))
-        for k, c in enumerate(hom_coefficients(rest, upper, max_steps=limits.max_maps)):
-            total[k] += c
-    return tuple(total)
+    minimum_to = sum(1 << q for q in flags) if closing else None
+    return hom_coefficients(component, base, max_steps=limits.max_maps, minimum_to=minimum_to)
 
 
 @memo(SHAPE_ENTRIES)

@@ -15,9 +15,11 @@ Counting of maps P -> Q works in three regimes:
   (its integer coefficients in the binomial basis are closed-form for a
   chain P, else from a dynamic program over the down-sets of the core of P,
   P less its elements comparable to all others);
-- a chain stacked on top of a base, Q = Q0 ⊕ chain(k): the hom coefficients
+- a target that ends in a chain, Q = Q0 ⊕ chain(k): the hom coefficients
   of (P, Q0), a sum over the down-sets of P, evaluated at k;
-- any other target: exhaustive backtracking, bounded by ``max_steps``.
+- any other target, or the minimum of P sent into a mask of Q only
+  (``minimum_to``, one run per image): exhaustive backtracking, bounded by
+  ``max_steps`` a run.
 
 Counting polynomials in the length ``n`` of a chain are kept as integer
 coefficients ``e_k`` in the binomial basis ``C(n, k)`` (Stanley's order
@@ -651,22 +653,23 @@ def _chain_coeffs(p: Poset) -> tuple[int, ...]:
 
 
 def _peel_chain_tail(q: Poset) -> tuple[Poset, int]:
-    """Split q as (base, k) where q = base ⊕ chain(k) with k maximal; ``q`` itself when k = 0."""
-    alive, tail = (1 << q.size) - 1, 0
-    while alive:
-        tops = [i for i in _iter_bits(alive) if q.down_mask(i) & alive == alive]
-        if not tops:
-            break
-        alive ^= 1 << tops[0]
-        tail += 1
-    return (_sub_from_mask(q, alive) if tail else q), tail
+    """Split q as (base, k) where q = base ⊕ chain(k) with k maximal; ``q`` itself when k = 0.
+
+    The tail: the elements comparable to all others with only such above them.
+    """
+    full = (1 << q.size) - 1
+    comparable = sum(1 << x for x in range(q.size) if q.up_mask(x) | q.down_mask(x) == full)
+    tail = sum(1 << x for x in _iter_bits(comparable) if not q.up_mask(x) & ~comparable)
+    return (_sub_from_mask(q, full ^ tail) if tail else q), tail.bit_count()
 
 
-def _backtrack_count(p: Poset, q: Poset, max_steps: int | None) -> int:
+def _backtrack_count(p: Poset, q: Poset, max_steps: int | None, minimum_to: int | None = None) -> int:
     """Exhaustive count for irregular targets (never materializes the maps).
 
     One step per position reached; at the last position of the linear
     extension every candidate completes one map, so they are counted at once.
+    ``minimum_to``, a bitmask of ``q``, holds the images of position 0, the
+    minimum of ``p``; each image starts a run of its own, with its own steps.
     """
     ext = _linear_extension(p)
     preds = [[y for y in ext[:k] if p.lt(y, x)] for k, x in enumerate(ext)]
@@ -691,20 +694,27 @@ def _backtrack_count(p: Poset, q: Poset, max_steps: int | None) -> int:
         image.pop(ext[k], None)
         return total
 
-    return count(0) if ext else 1
+    if minimum_to is None:
+        return count(0) if ext else 1
+    total = 0
+    for value in _iter_bits(minimum_to):
+        steps, image[ext[0]] = 0, value
+        total += count(1) if last else 1
+    return total
 
 
 @memo(CACHE_ENTRIES)
-def _count(p: Poset, q: Poset, max_steps: int | None) -> int:
-    """|hom(p, q)|, raising if one backtracking run takes more than ``max_steps`` steps."""
+def _count(p: Poset, q: Poset, max_steps: int | None, minimum_to: int | None) -> int:
+    """|hom(p, q)|, or only the maps with the minimum in ``minimum_to``; see :func:`count_hom`."""
     if p.size == 0:
         return 1
     if q.size == 0:
         return 0
-    q0, tail = _peel_chain_tail(q)
-    if not tail:
-        return _backtrack_count(p, q, max_steps)
-    return binomial_value(hom_coefficients(p, q0, max_steps=max_steps), tail)
+    if minimum_to is None:
+        q0, tail = _peel_chain_tail(q)
+        if tail:
+            return binomial_value(hom_coefficients(p, q0, max_steps=max_steps), tail)
+    return _backtrack_count(p, q, max_steps, minimum_to)
 
 
 def count_hom(p: Poset, q: Poset, *, max_steps: int | None = None) -> int:
@@ -716,10 +726,11 @@ def count_hom(p: Poset, q: Poset, *, max_steps: int | None = None) -> int:
     counted by the chain polynomial of the complementary up-set.  With
     ``max_steps``, a backtracking run longer than that raises.
     """
-    return _count(p, q, max_steps)
+    return _count(p, q, max_steps, None)
 
 
-def hom_coefficients(p: Poset, q: Poset, *, max_steps: int | None = None) -> tuple[int, ...]:
+def hom_coefficients(p: Poset, q: Poset, *, max_steps: int | None = None,
+                     minimum_to: int | None = None) -> tuple[int, ...]:
     """H(n) = |hom(p, q ⊕ chain(n))| as integers ``e`` with H(n) = sum of ``e[k] * C(n, k)``.
 
     Splitting each map at the chain gives
@@ -733,13 +744,20 @@ def hom_coefficients(p: Poset, q: Poset, *, max_steps: int | None = None) -> tup
     ``p`` of any length is counted; past ``DEFAULT_MAX_SIZE`` elements any
     other ``p`` raises :class:`EnumerationLimitError`, or with ``q`` empty
     any ``p`` whose core is that large.
+
+    ``minimum_to``, a bitmask of ``q``, keeps the maps sending the minimum of
+    ``p`` into it (``ValueError`` if there is none): the down-sets holding it
+    are summed, without the last entry, which only the empty one reaches.
     """
-    if not q.size:  # every map lands in the chain
+    if minimum_to is None and not q.size:  # every map lands in the chain
         return _chain_coeffs(p)
+    if minimum_to is not None and p.unique_min() is None:
+        raise ValueError("minimum_to needs a poset with a unique minimum")
+    held = 0 if minimum_to is None else 1 << p.unique_min()  # in every down-set summed
     full = (1 << p.size) - 1
-    total = [0] * (p.size + 1)
+    total = [0] * (p.size + (minimum_to is None))
     for mask in _down_set_masks(p):
-        lower = _count(_sub_from_mask(p, mask), q, max_steps)
+        lower = mask & held == held and _count(_sub_from_mask(p, mask), q, max_steps, minimum_to)
         if lower:
             for k, e in enumerate(_chain_coeffs(_sub_from_mask(p, full & ~mask))):
                 total[k] += lower * e

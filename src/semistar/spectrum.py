@@ -56,9 +56,10 @@ class SpectrumTree:
 
     __slots__ = ("nodes", "root_id", "_by_id", "_children", "_key", "_hash")
 
-    def __init__(self, nodes: Iterable[TreeNode]):
-        nodes = tuple(nodes)
-        problems, by_id, key, children = _check_nodes(nodes)
+    def __init__(self, nodes: Iterable[TreeNode], _json_rows: bool = False):
+        problems, nodes = _read_rows(nodes, _json_rows)
+        if not problems:
+            problems, by_id, key, children = _check_nodes(nodes)
         if problems:
             raise SpectrumValidationError(problems)
         object.__setattr__(self, "nodes", nodes)
@@ -207,51 +208,38 @@ def _field_problems(problems: list[str], k: int, node: TreeNode, parent_entry: b
     return True
 
 
-def _coerce_nodes(data) -> list[TreeNode] | list[str]:
-    """Raw JSON-ish input to TreeNode list, or a list of the problems of its rows."""
-    if isinstance(data, SpectrumTree):
-        return list(data.nodes)
-    if isinstance(data, Mapping):
-        if "nodes" not in data:
-            return ['input has no "nodes" entry']
-        rows = data["nodes"]
-    else:
-        rows = data
-    if not isinstance(rows, (list, tuple)):
-        return ['"nodes" is not a list']
-    problems = []
-    nodes = []
+def _read_rows(rows: Iterable, json_rows: bool) -> tuple[list[str], tuple[TreeNode, ...]]:
+    """The problems of the rows in order, and their nodes: the one row loop of every tree.
+
+    A JSON row is a mapping with no unknown keys, another row a :class:`TreeNode`.
+    """
+    problems, nodes = [], []
     for k, row in enumerate(rows):
-        if type(row) is not dict and not isinstance(row, Mapping):
-            problems.append(f"node #{k} is not an object")
+        if not json_rows and isinstance(row, TreeNode):
+            node = row
+            _field_problems(problems, k, node)
+        elif json_rows and (type(row) is dict or isinstance(row, Mapping)):
+            node = TreeNode(row.get("id"), row.get("parent"), row.get("omega"), row.get("epsilon"))
+            if (_field_problems(problems, k, node, "parent" in row)
+                    and not _NODE_KEYS.issuperset(row)):
+                problems.append(f"node {node.id!r} has unknown keys {sorted(row.keys() - _NODE_KEYS)}")
+        else:
+            problems.append(f"node #{k} is not {'an object' if json_rows else 'a TreeNode'}")
             continue
-        node = TreeNode(row.get("id"), row.get("parent"), row.get("omega"), row.get("epsilon"))
-        if not _field_problems(problems, k, node, "parent" in row):
-            continue
-        if not _NODE_KEYS.issuperset(row):
-            problems.append(f"node {node.id!r} has unknown keys {sorted(set(row) - _NODE_KEYS)}")
         nodes.append(node)
-    return problems or nodes
+    return problems, tuple(nodes)
 
 
 def _check_nodes(nodes: Sequence[TreeNode]) -> tuple[list[str], dict, tuple, dict]:
     """The problems of ``nodes`` as a tree, then the nodes by id, the nodes sorted by
     id, and the sorted child ids of each parent.
 
-    The fields of every node are checked first (:func:`_field_problems`),
-    and an entry that is no :class:`TreeNode` is named.  The structural
-    checks stop at the first kind of problem found, leaving the index and
-    the child lists incomplete.  A node reached from the root is reached
-    once, as each has one parent, so the walk keeps no set.
+    The nodes' fields are checked already (:func:`_read_rows`).  The
+    structural checks stop at the first kind of problem found, leaving the
+    index and the child lists incomplete.  A node reached from the root is
+    reached once, as each has one parent, so the walk keeps no set.
     """
     problems: list[str] = []
-    for k, n in enumerate(nodes):
-        if not isinstance(n, TreeNode):
-            problems.append(f"node #{k} is not a TreeNode")
-        else:
-            _field_problems(problems, k, n)
-    if problems:
-        return problems, {}, (), {}
     if not nodes:
         return ["tree has no nodes"], {}, (), {}
     by_id = dict(zip(map(_node_id, nodes), nodes))
@@ -327,10 +315,14 @@ def validate_tree(data) -> SpectrumTree:
     :class:`~semistar.errors.SpectrumValidationError` is raised whose
     ``problems`` attribute lists every violated invariant.
     """
-    nodes = _coerce_nodes(data)
-    if nodes and isinstance(nodes[0], str):
-        raise SpectrumValidationError(nodes)
-    return SpectrumTree(nodes)
+    if isinstance(data, SpectrumTree):
+        return SpectrumTree(data.nodes)
+    if isinstance(data, Mapping) and "nodes" not in data:
+        raise SpectrumValidationError(['input has no "nodes" entry'])
+    rows = data["nodes"] if isinstance(data, Mapping) else data
+    if not isinstance(rows, (list, tuple)):
+        raise SpectrumValidationError(['"nodes" is not a list'])
+    return SpectrumTree(rows, _json_rows=True)
 
 
 def build_tree(rows: Iterable) -> SpectrumTree:

@@ -255,6 +255,16 @@ def test_max_maps_env_is_read_on_every_call(fex_path, monkeypatch, capsys):
     assert "exceeded 1 steps" in capsys.readouterr().err
 
 
+def test_each_flag_of_a_closing_count_is_its_own_map_limit_run(fex_path, capsys):
+    # the plain factor of P trips at one step; its closing factor maps a two-element
+    # component one flag at a time, one step each, so poly --smstar still answers
+    assert run(capsys, "count", fex_path, "--max-maps", "1") == (
+        2, "", "bound exceeded: map counting exceeded 1 steps\n")
+    smstar = ["poly", fex_path, "--smstar", "--var", "P", "--var", "N"]
+    assert run(capsys, *smstar, "--max-maps", "1") == run(capsys, *smstar)
+    assert run(capsys, *smstar)[:2] == (0, "4*N*P + 17*N + 4*P + 17\n")
+
+
 def test_limits_in_one_process_match_fresh_runs(fex_path, capsys):
     # a default call in between must not let a later --max-maps 1 call pass
     script = "import sys\nfrom semistar.cli import main\nsys.exit(main({!r}))"

@@ -16,8 +16,10 @@ from semistar import (
     Limits,
     MultiPoly,
     Poset,
+    antichain,
     are_isomorphic,
     build_tree,
+    cache_info,
     chain,
     clear_caches,
     count_fstar,
@@ -285,6 +287,63 @@ def test_tildhom_matches_map_enumeration():
                     assert _tildhom(comp, d, branch).evaluate(omega) == starred
 
 
+def _per_flag_closing(component, branch):
+    """An internal branch's closing factor as a loop over its flags, a reference.
+
+    The component less its minimum goes into the up-set of each flag in the
+    base, with the chain on top; the sum over the flags is the factor.
+    """
+    base, flags = engine._base(engine._single_branch(branch, DEFAULT_LIMITS)[2], DEFAULT_LIMITS)
+    rest = subposet(component, range(1, component.size))
+    total = [0] * component.size
+    for q in sorted(flags):
+        upper = subposet(base, [i for i in range(base.size) if base.leq(q, i)])
+        for k, c in enumerate(hom_coefficients(rest, upper)):
+            total[k] += c
+    return tuple(total)
+
+
+def _assert_closing_factors_match_a_loop_over_the_flags(*branches):
+    # every shape with a minimum at up to three branches
+    shapes = {p for m in (1, 2, 3) for p in support_table(m).shapes
+              if p.size and p.up_mask(0) == (1 << p.size) - 1}
+    assert len(shapes) == 5  # a point, chains of two and three, a vee and a square
+    for branch in branches:
+        for shape in shapes:
+            assert tildhom_count(shape, 0, branch) == _per_flag_closing(shape, branch)
+
+
+def test_closing_factors_of_internal_branches_match_a_loop_over_the_flags():
+    three = build_tree([("0", None, 1), ("P", "0", 1), ("M1", "P", 1, 1), ("M2", "P", 2, 2),
+                        ("M3", "P", 1, 1), ("N", "0", 1, 1)])
+    deep = build_tree([("0", None, 1), ("A", "0", 2), ("B", "A", 1), ("L1", "B", 1, 1),
+                       ("L2", "B", 2, 2), ("L3", "A", 1, 1), ("N", "0", 1, 1)])
+    _assert_closing_factors_match_a_loop_over_the_flags(
+        branch_subtree(y_tree(2, (2, 2), (1, 1)), "P"), branch_subtree(final_example(1, 1), "P"),
+        branch_subtree(three, "P"), branch_subtree(deep, "A"))
+
+
+@pytest.mark.slow
+def test_closing_factors_match_the_flag_loop_past_one_shared_limit_run():
+    # 509 flags: the square's maps from its minimum take more than the default limit of
+    # steps over all flags, and far fewer for each flag alone (the square takes about
+    # 13 s of CPU for either count on a 2-core VM)
+    three = build_tree([("0", None, 1), ("P", "0", 1), ("M1", "P", 2, 2), ("M2", "P", 1, 1),
+                        ("M3", "P", 2, 1), ("N", "0", 1, 1)])
+    _assert_closing_factors_match_a_loop_over_the_flags(branch_subtree(three, "P"))
+
+
+def test_closing_factors_share_the_plain_factors_counts():
+    # the closing factor is the plain sum restricted at the minimum, so few pairs are counted
+    t = build_tree([("0", None, 1), ("P", "0", 2), ("M1", "P", 3, 2), ("M2", "P", 3, 1),
+                    ("N1", "0", 2, 1), ("N2", "0", 3, 2)])
+    clear_caches()
+    assert count_report(t) == {
+        "semistar": 269408948, "fstar": 534, "smstar": 158263092, "star": 56,
+    }
+    assert cache_info()["posets._count"].currsize <= 20
+
+
 def test_counts_build_no_polynomial():
     # counts stay in integers: no MultiPoly from the first call on, cold caches
     script = (
@@ -463,6 +522,10 @@ _CLASHING = [("0", None, 1), ("eps_M", "0", 2, 1), ("M", "0", 2, 1)]
      r"^domain index 5 out of range for 2 elements$"),
     (lambda: tildhom_count(chain(2), -1, valuation(2, 1)),
      r"^domain index -1 out of range for 2 elements$"),
+    (lambda: hom_coefficients(antichain(2), chain(2), minimum_to=1),
+     "^minimum_to needs a poset with a unique minimum$"),
+    (lambda: hom_coefficients(Poset(()), chain(2), minimum_to=1),
+     "^minimum_to needs a poset with a unique minimum$"),
 ])
 def test_polynomial_and_tildhom_arguments_are_checked(call, message):
     with pytest.raises(ValueError, match=message):

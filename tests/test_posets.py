@@ -214,6 +214,39 @@ def test_peeling_returns_a_target_with_no_chain_on_top_itself():
     assert base is vee and tail == 0
 
 
+def _peeled_one_top_at_a_time(q):
+    """The chain tail peeled by rescanning what is left for a top after each peel, a reference."""
+    alive, tail = (1 << q.size) - 1, 0
+    while alive:
+        tops = [i for i in range(q.size) if alive >> i & 1 and q.down_mask(i) & alive == alive]
+        if not tops:
+            break
+        alive ^= 1 << tops[0]
+        tail += 1
+    return subposet(q, [i for i in range(q.size) if alive >> i & 1]), tail
+
+
+#: Random posets, some with chains below, above or between them
+_stacked = st.lists(
+    st.one_of(posets, st.integers(0, 4).map(chain)), min_size=1, max_size=4
+).map(lambda parts: reduce(ordinal_sum, parts))
+
+
+@given(_stacked)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_the_chain_tail_is_what_peeling_one_top_at_a_time_leaves(q):
+    assert _peel_chain_tail(q) == _peeled_one_top_at_a_time(q)
+
+
+def test_a_long_chain_target_is_peeled_in_linear_mask_operations():
+    clear_caches()
+    q = chain(4000)
+    start = time.process_time()
+    assert count_hom(antichain(2), q) == 4000**2
+    assert _peel_chain_tail(ordinal_sum(antichain(2), q)) == (antichain(2), 4000)
+    assert time.process_time() - start < 1
+
+
 def _two_short_chains():
     return Poset.from_covers(4, [(0, 1), (2, 3)])
 
@@ -245,6 +278,17 @@ def test_count_hom_step_limit_cold_and_warm():
         count_hom(p, ordinal_sum(q, chain(1)), max_steps=2)
     with pytest.raises(EnumerationLimitError):
         hom_polynomial(p, q, max_steps=2)
+
+
+def test_each_image_of_the_minimum_is_its_own_backtracking_run():
+    # a vee from its minimum into three flags under a 4-chain: each flag's run of the
+    # whole vee is one step for the first arm and one per value of the second, 6
+    vee, q = Poset.from_covers(3, [(0, 1), (0, 2)]), ordinal_sum(antichain(3), chain(4))
+    clear_caches()
+    assert hom_coefficients(vee, q, minimum_to=0b111) == (75, 33, 6)  # 3 (5 + n)^2
+    assert hom_coefficients(vee, q, max_steps=6, minimum_to=0b111) == (75, 33, 6)
+    with pytest.raises(EnumerationLimitError, match="^map counting exceeded 5 steps$"):
+        hom_coefficients(vee, q, max_steps=5, minimum_to=0b111)
 
 
 def test_backtracking_counts_the_last_position_in_one_step():

@@ -28,6 +28,7 @@ from semistar import (
     subposet,
     validate_tree,
 )
+from semistar import spectrum
 from semistar.oracle import _brute_support_families, brute_supports
 from semistar.spectrum import (
     IDEMPOTENT,
@@ -213,6 +214,16 @@ def test_every_constructor_names_the_problems_of_the_same_rows_as_json(make, row
     with pytest.raises(SpectrumValidationError) as exc:
         make()
     assert exc.value.problems == _json_problems(rows)
+
+
+def test_each_row_is_checked_once(monkeypatch):
+    # the JSON path reads its rows into nodes and checks their fields in one loop
+    rows, calls, check = final_example(1, 1).to_dict()["nodes"], [], spectrum._field_problems
+    monkeypatch.setattr(spectrum, "_field_problems", lambda *args: calls.append(1) or check(*args))
+    validate_tree({"nodes": rows})
+    assert len(calls) == len(rows)
+    build_tree([(n["id"], n["parent"], n["omega"], n.get("epsilon")) for n in rows])
+    assert len(calls) == 2 * len(rows)
 
 
 def test_an_entry_that_is_no_tree_node_is_named():
